@@ -1,13 +1,13 @@
 //! # davide-core
 //!
 //! Hardware and system models for the D.A.V.I.D.E. energy-aware
-//! petaflops-class cluster (Abu Ahmad et al., 2017), plus the simulation
-//! substrate the rest of the stack builds on.
+//! petaflops-class cluster (Abu Ahmad et al., 2017), plus the units,
+//! time and RNG foundations the rest of the stack builds on. The
+//! discrete-event kernel lives in `davide-sim` (`sim::kernel`).
 //!
 //! The crate is organised bottom-up:
 //!
-//! * foundations — [`units`], [`time`], [`rng`], [`event`], [`power`],
-//!   [`error`];
+//! * foundations — [`units`], [`time`], [`rng`], [`power`], [`error`];
 //! * silicon models — [`dvfs`], [`cpu`] (POWER8+), [`gpu`] (Tesla P100),
 //!   [`memory`] (Centaur-buffered DRAM), [`interconnect`] (NVLink, PCIe,
 //!   EDR fat-tree);
@@ -34,7 +34,6 @@ pub mod cpu;
 pub mod dvfs;
 pub mod efficiency;
 pub mod error;
-pub mod event;
 pub mod gpu;
 pub mod interconnect;
 pub mod memory;

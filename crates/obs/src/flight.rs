@@ -16,7 +16,7 @@
 //! sound because `'static` strings never move — so a push is a handful
 //! of relaxed stores and never allocates.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
 /// Well-known flight-recorder event kinds. Grant hops reuse the span
 /// stage names so the timeline reads in causal order.
@@ -141,7 +141,10 @@ impl FlightRecorder {
         }
         let n = self.head.fetch_add(1, Ordering::Relaxed);
         let c = &self.cells[(n as usize) & (self.cells.len() - 1)];
-        c.ver.store(2 * n + 1, Ordering::Release);
+        c.ver.store(2 * n + 1, Ordering::Relaxed);
+        // Orders the odd version before the payload stores, so a reader
+        // that sees any of this write's words also sees the version move.
+        fence(Ordering::Release);
         c.t_ns.store(t_ns, Ordering::Relaxed);
         c.kind_ptr.store(kind.as_ptr() as u64, Ordering::Relaxed);
         c.kind_len.store(kind.len() as u64, Ordering::Relaxed);
@@ -165,16 +168,33 @@ impl FlightRecorder {
             if v1 != 2 * (n + 1) {
                 continue; // torn or already overwritten
             }
-            let ev = FlightEvent {
-                t_ns: c.t_ns.load(Ordering::Relaxed),
-                kind: load_static_str(&c.kind_ptr, &c.kind_len),
-                label: load_static_str(&c.label_ptr, &c.label_len),
-                seq: c.seq.load(Ordering::Relaxed),
-                value_bits: c.value_bits.load(Ordering::Relaxed),
-            };
-            if c.ver.load(Ordering::Acquire) == v1 {
-                out.push((n, ev));
+            let t_ns = c.t_ns.load(Ordering::Relaxed);
+            let kind = (
+                c.kind_ptr.load(Ordering::Relaxed),
+                c.kind_len.load(Ordering::Relaxed),
+            );
+            let label = (
+                c.label_ptr.load(Ordering::Relaxed),
+                c.label_len.load(Ordering::Relaxed),
+            );
+            let seq = c.seq.load(Ordering::Relaxed);
+            let value_bits = c.value_bits.load(Ordering::Relaxed);
+            // Orders the payload loads before the re-check: if the
+            // version is unchanged, no write overlapped them.
+            fence(Ordering::Acquire);
+            if c.ver.load(Ordering::Relaxed) != v1 {
+                continue; // overwritten while we read
             }
+            out.push((
+                n,
+                FlightEvent {
+                    t_ns,
+                    kind: static_str(kind),
+                    label: static_str(label),
+                    seq,
+                    value_bits,
+                },
+            ));
         }
         out
     }
@@ -219,16 +239,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn load_static_str(ptr: &AtomicU64, len: &AtomicU64) -> &'static str {
-    let p = ptr.load(Ordering::Relaxed) as usize as *const u8;
-    let l = len.load(Ordering::Relaxed) as usize;
+/// Rebuild a `&'static str` from the (ptr, len) words of one cell.
+/// Call only after the seqlock re-check has passed.
+fn static_str((ptr, len): (u64, u64)) -> &'static str {
+    let p = ptr as usize as *const u8;
+    let l = len as usize;
     if p.is_null() || l == 0 {
         return "";
     }
     // SAFETY: these words were only ever stored by `push`, whose
     // signature restricts them to the address and length of a
-    // `&'static str`, and the seqlock version check around this read
-    // guarantees the pair is from one complete write.
+    // `&'static str`. `snapshot` calls this only after its second
+    // version check passed, so both words come from the same complete
+    // write and the pair names a live `'static` string.
     unsafe { std::str::from_utf8_unchecked(std::slice::from_raw_parts(p, l)) }
 }
 

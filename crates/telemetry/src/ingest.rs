@@ -16,8 +16,8 @@
 //! needed.
 
 use crate::gateway::SampleFrame;
-use crate::storage::{RangeQuery, TierStats};
-use crate::tsdb::{Point, Resolution, TsDb, TsDbConfig};
+use crate::storage::TierStats;
+use crate::tsdb::{TsDb, TsDbConfig};
 use davide_mqtt::{Broker, BrokerError, Client, Message, QoS};
 use davide_obs::{frame_trace_id, Counter, Histogram, ObsHub, Stage};
 use rayon::prelude::*;
@@ -450,53 +450,6 @@ impl ShardedTsDb {
         k.sort();
         k
     }
-
-    /// Total observations absorbed for a series.
-    #[deprecated(
-        since = "0.1.0",
-        note = "one-off accessor shape; use `SeriesRead::series_watermark`"
-    )]
-    pub fn count(&self, key: &str) -> u64 {
-        crate::read::SeriesRead::series_watermark(self, key)
-    }
-
-    /// Range query at a resolution (routed to the owning shard).
-    #[deprecated(
-        since = "0.1.0",
-        note = "drops coverage provenance; use `SeriesRead::series_range`"
-    )]
-    pub fn query(&self, key: &str, res: Resolution, t0: f64, t1: f64) -> Vec<Point> {
-        crate::read::SeriesRead::series_range(self, key, res, t0, t1).points
-    }
-
-    /// Range query with per-tier coverage accounting (routed to the
-    /// owning shard).
-    #[deprecated(
-        since = "0.1.0",
-        note = "one-off accessor shape; use `SeriesRead::series_range` \
-                (and `series_range_filter` for coverage merged across shards)"
-    )]
-    pub fn query_range(&self, key: &str, res: Resolution, t0: f64, t1: f64) -> RangeQuery {
-        crate::read::SeriesRead::series_range(self, key, res, t0, t1)
-    }
-
-    /// Mean over a window at a resolution.
-    #[deprecated(
-        since = "0.1.0",
-        note = "drops coverage provenance; use `SeriesRead::series_mean`"
-    )]
-    pub fn mean(&self, key: &str, res: Resolution, t0: f64, t1: f64) -> Option<f64> {
-        crate::read::SeriesRead::series_mean(self, key, res, t0, t1).0
-    }
-
-    /// Energy over a window (accounting query).
-    #[deprecated(
-        since = "0.1.0",
-        note = "drops coverage provenance; use `SeriesRead::series_energy_j`"
-    )]
-    pub fn energy_j(&self, key: &str, t0: f64, t1: f64) -> f64 {
-        crate::read::SeriesRead::series_energy_j(self, key, t0, t1).0
-    }
 }
 
 #[cfg(test)]
@@ -504,6 +457,7 @@ mod tests {
     use super::*;
     use crate::gateway::{power_topic, EnergyGateway};
     use crate::read::SeriesRead;
+    use crate::tsdb::Resolution;
     use crate::waveform::WorkloadWaveform;
     use bytes::Bytes;
     use davide_core::rng::Rng;
