@@ -26,7 +26,8 @@ use std::sync::Arc;
 use davide_core::power::PowerTrace;
 use davide_core::time::SimTime;
 use davide_obs::{
-    rollup_counters, Counter, FlightRecorder, Histogram, MetricsRegistry, ObsHub, GRANT_STAGE_NAMES,
+    rollup_counters, Counter, FlightRecorder, GrantStage, Histogram, MetricsRegistry, ObsHub,
+    StageSet,
 };
 use davide_sched::accounting::{EnergyLedger, Tariff};
 use davide_sched::simulator::SimOutcome;
@@ -438,7 +439,7 @@ impl<S: SeriesRead> QueryService<S> {
                 let mut spans: std::collections::BTreeMap<u64, Vec<GrantEventDto>> =
                     std::collections::BTreeMap::new();
                 for (_, e) in src.flight.snapshot() {
-                    if GRANT_STAGE_NAMES.contains(&e.kind) {
+                    if GrantStage::NAMES.contains(&e.kind) {
                         spans.entry(e.seq).or_default().push(GrantEventDto {
                             t_ns: e.t_ns,
                             stage: e.kind.to_string(),

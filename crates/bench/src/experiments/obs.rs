@@ -1,10 +1,11 @@
 //! E24 — the monitoring plane measured by itself: the E22 closed-loop
 //! workload replayed with the `davide-obs` stack armed. Every pipeline
-//! stage (broker publish → session deliver → ingest append → predictor
-//! update → scheduler tick → DVFS publish) stamps the causal tracer,
-//! the control loop's instruments land in the shared registry, and the
-//! registry itself is republished over the replay broker on the
-//! reserved `davide/obs/#` namespace and re-ingested like node power.
+//! stage (broker publish → fan-out delivery into the ingest subscriber's
+//! queue → ingest append → predictor update → scheduler tick → DVFS
+//! publish) stamps the hub's frame tracer, the control loop's
+//! instruments land in the shared registry, and the registry itself is
+//! republished over the replay broker on the reserved `davide/obs/#`
+//! namespace and re-ingested like node power.
 //!
 //! The report is the observability story of the PR: the control-loop
 //! latency distribution (frame age at actuation and end-to-end trace
@@ -12,7 +13,7 @@
 //! loss, and the self-telemetry round trip.
 
 use crate::header;
-use davide_obs::trace::STAGE_NAMES;
+use davide_obs::{Stage, StageSet};
 use davide_sched::controlplane::{replay_instrumented, ControlMode, ReplayConfig, ReplayObs};
 use davide_sched::CapSchedule;
 
@@ -76,7 +77,7 @@ pub fn e24() {
     // ── Per-stage trace accounting. ──
     let completed = counter("obs_trace_completed_total");
     println!("\nper-stage frame accounting (completed {completed}):");
-    for name in STAGE_NAMES {
+    for name in Stage::NAMES {
         let lost = counter(&format!("obs_trace_lost_total{{last=\"{name}\"}}"));
         if lost > 0 {
             println!("  lost after {name:<16} {lost:>8}");

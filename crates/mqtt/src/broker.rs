@@ -380,7 +380,7 @@ impl BrokerObs {
         if self.traceable(topic, payload) {
             let now = self.hub.clock.now_s();
             self.hub
-                .tracer
+                .frames
                 .stamp(frame_trace_id(topic, payload), Stage::BrokerPublish, now);
         }
         if let Some(t) = self.topic_obs(topic) {
@@ -393,7 +393,7 @@ impl BrokerObs {
         if self.traceable(topic, payload) {
             let now = self.hub.clock.now_s();
             self.hub
-                .tracer
+                .frames
                 .stamp(frame_trace_id(topic, payload), Stage::SessionDeliver, now);
         }
         if let Some(t) = self.topic_obs(topic) {

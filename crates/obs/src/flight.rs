@@ -18,21 +18,12 @@
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
-/// Well-known flight-recorder event kinds. Grant hops reuse the span
-/// stage names so the timeline reads in causal order.
+/// Well-known flight-recorder event kinds. Grant hops use the grant
+/// stage names ([`GrantStage::name`]) so the timeline reads in causal
+/// order.
+///
+/// [`GrantStage::name`]: crate::StageSet::name
 pub mod kind {
-    /// Federator published a grant ([`GrantStage::FedSplit`]).
-    ///
-    /// [`GrantStage::FedSplit`]: crate::span::GrantStage::FedSplit
-    pub const FED_SPLIT: &str = "fed_split";
-    /// Downlink bridge forwarded the grant onto the rack broker.
-    pub const BRIDGE_DELIVER: &str = "bridge_deliver";
-    /// Rack cap-watch drained the grant.
-    pub const RACK_RECEIVE: &str = "rack_receive";
-    /// Control plane swapped its cap schedule.
-    pub const CAP_COMMAND: &str = "cap_command";
-    /// Observed system power first measured under the granted cap.
-    pub const POWER_CROSSING: &str = "power_crossing";
     /// The invariant checker recorded a violation; `label` names the
     /// invariant.
     pub const VIOLATION: &str = "violation";
@@ -270,10 +261,13 @@ mod tests {
 
     #[test]
     fn records_and_dumps_in_order() {
+        let record = |fr: &FlightRecorder| {
+            fr.push(1_000, "fed_split", "", 0, 7200f64.to_bits());
+            fr.push(2_000, "rack_receive", "", 0, 7200f64.to_bits());
+            fr.push(3_000, kind::VIOLATION, "cap", 0, 2.5f64.to_bits());
+        };
         let fr = FlightRecorder::new(8);
-        fr.push(1_000, kind::FED_SPLIT, "", 0, 7200f64.to_bits());
-        fr.push(2_000, kind::RACK_RECEIVE, "", 0, 7200f64.to_bits());
-        fr.push(3_000, kind::VIOLATION, "cap", 0, 2.5f64.to_bits());
+        record(&fr);
         let snap = fr.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].1.kind, "fed_split");
@@ -284,9 +278,7 @@ mod tests {
         assert!(dump.contains("label=cap"));
         // The dump is a pure function of the pushed events.
         let fr2 = FlightRecorder::new(8);
-        fr2.push(1_000, kind::FED_SPLIT, "", 0, 7200f64.to_bits());
-        fr2.push(2_000, kind::RACK_RECEIVE, "", 0, 7200f64.to_bits());
-        fr2.push(3_000, kind::VIOLATION, "cap", 0, 2.5f64.to_bits());
+        record(&fr2);
         assert_eq!(fr2.dump(), dump);
         assert_eq!(fr2.digest(), fr.digest());
     }
@@ -295,7 +287,7 @@ mod tests {
     fn ring_keeps_only_the_newest_events() {
         let fr = FlightRecorder::new(4);
         for i in 0..10u64 {
-            fr.push(i, kind::FED_SPLIT, "", i, i);
+            fr.push(i, "fed_split", "", i, i);
         }
         let snap = fr.snapshot();
         assert_eq!(snap.len(), 4);
@@ -322,7 +314,7 @@ mod tests {
                 let fr = fr.clone();
                 std::thread::spawn(move || {
                     for i in 0..5_000u64 {
-                        fr.push(i, kind::CAP_COMMAND, "", w * 10_000 + i, i);
+                        fr.push(i, "cap_command", "", w * 10_000 + i, i);
                     }
                 })
             })

@@ -11,20 +11,18 @@
 //!   (interned, like `SeriesId`s in the TsDb) so the hot path is pure
 //!   atomics: no locks, no allocation. [`MetricsRegistry::render_text`]
 //!   produces a Prometheus-style text exposition.
-//! * [`FrameTracer`] — causal tracing for `SampleFrame` batches. Every
-//!   frame gets a deterministic trace id derived from its topic and
-//!   wire header ([`frame_trace_id`]); each pipeline stage (broker
-//!   publish → session deliver → ingest append → predictor update →
-//!   scheduler tick → DVFS command publish) stamps a timestamp, and
-//!   closing a trace folds the stage-to-stage lags into histograms, so
-//!   end-to-end control-loop latency is a measured distribution, not a
-//!   guess.
-//! * [`GrantTracer`] — causal tracing for federation cap grants: the
-//!   federator's budget split, the retained grant publish, the downlink
-//!   bridge hop, the rack's cap-watch drain, the controller command and
-//!   the observed power crossing are stitched into one span per
-//!   (rack, grant seq), folding grant-to-actuation latency into
-//!   histograms.
+//! * [`Tracer`] — causal tracing over a static stage list, one
+//!   mechanism with two stage sets. [`Stage`] follows a `SampleFrame`
+//!   from broker publish through the fan-out delivery into a
+//!   subscriber queue, ingest append, predictor update and scheduler
+//!   tick to the DVFS command publish, keyed by a deterministic trace id
+//!   derived from its topic and wire header ([`frame_trace_id`]).
+//!   [`GrantStage`] follows a federation cap grant from the federator's
+//!   budget split over the downlink bridge and the rack's cap-watch to
+//!   the controller command and the observed power crossing, keyed by
+//!   grant seq. Closing a trace folds its stage-to-stage lags into
+//!   histograms, so end-to-end control-loop and grant-to-actuation
+//!   latency are measured distributions, not guesses.
 //! * [`FlightRecorder`] — a bounded lock-free ring of recent
 //!   control-loop events, snapshotted into a deterministic text dump
 //!   the instant an invariant fires.
@@ -46,7 +44,6 @@ pub mod bridge;
 pub mod clock;
 pub mod flight;
 pub mod metrics;
-pub mod span;
 pub mod trace;
 
 pub use bridge::{obs_topic, FrameSink, SelfTelemetry, OBS_FILTER, OBS_PREFIX};
@@ -56,24 +53,24 @@ pub use metrics::{
     escape_label_value, rollup_counters, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricsRegistry,
 };
-pub use span::{GrantStage, GrantTracer, GRANT_STAGE_COUNT, GRANT_STAGE_NAMES};
-pub use trace::{frame_trace_id, FrameTracer, Stage};
+pub use trace::{frame_trace_id, GrantStage, Stage, StageSet, Tracer};
 
 use std::sync::Arc;
 
 /// The obs wiring one deployment shares across instrument sites: the
-/// registry every subsystem registers its metrics in, the frame tracer,
-/// and the clock all broker/ingest-side stamps read.
+/// registry every subsystem registers its metrics in, the frame and
+/// grant tracers, the flight recorder, and the clock all broker/ingest-side
+/// stamps read.
 #[derive(Clone)]
 pub struct ObsHub {
     /// Shared metrics registry.
     pub registry: Arc<MetricsRegistry>,
     /// Shared causal frame tracer (registers its own metrics in
     /// `registry`).
-    pub tracer: Arc<FrameTracer>,
-    /// Shared cap-grant span tracer (registers its own metrics in
+    pub frames: Arc<Tracer<Stage>>,
+    /// Shared cap-grant tracer (registers its own metrics in
     /// `registry`).
-    pub span: Arc<GrantTracer>,
+    pub grants: Arc<Tracer<GrantStage>>,
     /// Shared flight recorder for the deployment's recent control-loop
     /// events.
     pub flight: Arc<FlightRecorder>,
@@ -86,13 +83,13 @@ impl ObsHub {
     /// A hub over an explicit clock.
     pub fn new(clock: Arc<dyn Clock>) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let tracer = Arc::new(FrameTracer::new(&registry));
-        let span = Arc::new(GrantTracer::new(&registry));
+        let frames = Arc::new(Tracer::new(&registry));
+        let grants = Arc::new(Tracer::new(&registry));
         let flight = Arc::new(FlightRecorder::default());
         ObsHub {
             registry,
-            tracer,
-            span,
+            frames,
+            grants,
             flight,
             clock,
         }
@@ -102,8 +99,17 @@ impl ObsHub {
     /// frame tracer and registry stay live). Overhead A/B runs disarm
     /// one side; digests must be bit-identical either way.
     pub fn set_tracing_enabled(&self, on: bool) {
-        self.span.set_enabled(on);
+        self.grants.set_enabled(on);
         self.flight.set_enabled(on);
+    }
+
+    /// Record one cap-grant hop at hub-clock time `t_s`: stamp `stage`
+    /// on grant `seq`'s trace and push the matching flight event, whose
+    /// kind is the stage name and whose payload is the cap `watts`.
+    pub fn grant_hop(&self, seq: u64, stage: GrantStage, t_s: f64, watts: f64) {
+        self.grants.stamp(seq, stage, t_s);
+        self.flight
+            .push(trace::to_ns(t_s), stage.name(), "", seq, watts.to_bits());
     }
 
     /// A hub over a [`ManualClock`], returned alongside so deterministic

@@ -1,16 +1,71 @@
-//! Causal frame tracing across the telemetry → control pipeline.
+//! Causal tracing over a static stage list: one tracer, two stage sets.
 //!
-//! Each `SampleFrame` publication gets a deterministic trace id
-//! ([`frame_trace_id`], FNV-1a over topic + payload head) that every
-//! stage can recompute from data it already holds — no id field travels
-//! on the wire, so frame encoding and per-seed digests are untouched.
-//! Stages stamp timestamps into a fixed-capacity slot table; closing a
-//! trace folds its stage-to-stage lags into histograms and bumps a
-//! completion counter, while traces that never complete are counted by
-//! the furthest stage they reached — a per-stage frame-loss readout.
+//! A [`Tracer`] follows ids through the stages of a [`StageSet`] in
+//! causal order. Stages stamp timestamps into a fixed-capacity slot
+//! table (first stamp per stage wins, so replayed deliveries are
+//! harmless); closing a trace folds its stage-to-stage lags and the
+//! set's named intervals into histograms and bumps a completion
+//! counter, while traces that never complete — evicted from a full
+//! probe window or still resident at [`Tracer::flush`] — are counted by
+//! the furthest stage they reached: a per-stage loss readout.
+//!
+//! * [`Stage`] follows a `SampleFrame` publication from the broker
+//!   through ingest to the DVFS command it causes. Its trace id
+//!   ([`frame_trace_id`], FNV-1a over topic + payload head) is
+//!   recomputable by every stage from data it already holds, so no id
+//!   field travels on the wire and frame encoding and per-seed digests
+//!   are untouched.
+//! * [`GrantStage`] follows a federation cap grant from the federator's
+//!   budget split to the observed power crossing, stitched by the grant
+//!   sequence number the federator embeds in the payload
+//!   (`"<watts> <seq>"`). One tracer per rack; sequence numbers are
+//!   per-rack, so the trace id *is* the grant seq.
+//!
+//! All timestamps come through the hub's injectable clock, so tracing
+//! never perturbs per-seed digests.
 
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use parking_lot::Mutex;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// A static, causally ordered stage list and the metrics a [`Tracer`]
+/// over it registers.
+pub trait StageSet: Copy + 'static {
+    /// Stage names as they appear in metric labels, in causal order (at
+    /// most 8).
+    const NAMES: &'static [&'static str];
+    /// Metric name prefix: `<prefix>_stage_ns{from,to}`,
+    /// `<prefix>_<interval>_ns`, `<prefix>_completed_total` and
+    /// `<prefix>_lost_total{last}`.
+    const PREFIX: &'static str;
+    /// Slot-table capacity (a power of two). Bounded so the tracer never
+    /// allocates after construction.
+    const CAPACITY: usize;
+    /// Named latency intervals recorded into `<prefix>_<name>_ns` when a
+    /// trace closes.
+    const INTERVALS: &'static [(&'static str, Interval<Self>)];
+
+    /// Index of this stage in [`NAMES`](Self::NAMES).
+    fn index(self) -> usize;
+
+    /// This stage's label.
+    fn name(self) -> &'static str {
+        Self::NAMES[self.index()]
+    }
+}
+
+/// A latency interval a closed trace folds into its own histogram.
+#[derive(Clone, Copy, Debug)]
+pub enum Interval<S> {
+    /// First stamped stage to last stamped stage.
+    FirstToLast,
+    /// From one stage to another, recorded only when both are stamped.
+    Between(S, S),
+}
+
+/// Stages per set: the per-slot stamp mask is one byte.
+const MAX_STAGES: usize = 8;
 
 /// Pipeline stages a frame passes through, in causal order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -18,7 +73,8 @@ use parking_lot::Mutex;
 pub enum Stage {
     /// Broker accepted the publish.
     BrokerPublish = 0,
-    /// A session queue received the fan-out copy.
+    /// The broker's fan-out delivered a copy into a subscriber's queue
+    /// (labelled `session_deliver` in metrics).
     SessionDeliver = 1,
     /// Ingest decoded and appended the frame to the TsDb.
     IngestAppend = 2,
@@ -30,18 +86,76 @@ pub enum Stage {
     DvfsPublish = 5,
 }
 
-/// Number of [`Stage`] variants.
-pub const STAGE_COUNT: usize = 6;
+impl StageSet for Stage {
+    const NAMES: &'static [&'static str] = &[
+        "broker_publish",
+        "session_deliver",
+        "ingest_append",
+        "predictor_update",
+        "scheduler_tick",
+        "dvfs_publish",
+    ];
+    const PREFIX: &'static str = "obs_trace";
+    const CAPACITY: usize = 4096;
+    /// `e2e`: first-stamp to last-stamp latency of completed traces (the
+    /// control-loop latency histogram).
+    const INTERVALS: &'static [(&'static str, Interval<Self>)] = &[("e2e", Interval::FirstToLast)];
 
-/// Stage names as they appear in metric labels.
-pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
-    "broker_publish",
-    "session_deliver",
-    "ingest_append",
-    "predictor_update",
-    "scheduler_tick",
-    "dvfs_publish",
-];
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// The hops a cap grant takes from the federator's budget split to an
+/// observed node-power change.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(usize)]
+pub enum GrantStage {
+    /// The federator computed this rack's share and published the
+    /// retained grant on the site broker.
+    FedSplit = 0,
+    /// The downlink bridge forwarded the grant onto the rack broker.
+    BridgeDeliver = 1,
+    /// The rack's cap-watch subscriber drained the grant.
+    RackReceive = 2,
+    /// The control plane swapped its cap schedule (the ladder and the
+    /// admission envelope now read the new cap).
+    CapCommand = 3,
+    /// The plant's observed system power first measured at or under the
+    /// granted cap — actuation, as the invariant checker would see it.
+    PowerCrossing = 4,
+}
+
+impl StageSet for GrantStage {
+    /// Also the flight-recorder event kinds of grant hops.
+    const NAMES: &'static [&'static str] = &[
+        "fed_split",
+        "bridge_deliver",
+        "rack_receive",
+        "cap_command",
+        "power_crossing",
+    ];
+    const PREFIX: &'static str = "obs_grant";
+    /// Grants are low-rate (one per rack per rebalance at most).
+    const CAPACITY: usize = 256;
+    /// `apply`: grant split → controller cap command; `e2e`: grant
+    /// split → observed power crossing (the grant-to-actuation latency
+    /// the paper's reaction-time argument turns on).
+    const INTERVALS: &'static [(&'static str, Interval<Self>)] = &[
+        (
+            "apply",
+            Interval::Between(GrantStage::FedSplit, GrantStage::CapCommand),
+        ),
+        (
+            "e2e",
+            Interval::Between(GrantStage::FedSplit, GrantStage::PowerCrossing),
+        ),
+    ];
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
 
 /// How many payload bytes participate in the trace id. 24 bytes covers
 /// the `SampleFrame` wire header (magic, version, t0, dt, n), which is
@@ -68,261 +182,210 @@ pub fn frame_trace_id(topic: &str, payload: &[u8]) -> u64 {
     h
 }
 
-/// A finalised trace's payload, copied out of the table under the lock.
-#[derive(Clone, Copy)]
-struct Slot {
-    seen: u8,
-    t_ns: [u64; STAGE_COUNT],
+/// Clock seconds as the integer nanoseconds stamps store.
+pub(crate) fn to_ns(t_s: f64) -> u64 {
+    (t_s * 1e9).round().max(0.0) as u64
 }
 
-/// Slot-table capacity (power of two). Bounded so the tracer never
-/// allocates after construction; a full probe window evicts the oldest
-/// resident, finalising it as lost.
-const CAPACITY: usize = 4096;
 const PROBE: usize = 16;
 
 /// Struct-of-arrays slot table: probing scans the packed `seen`/`ids`
 /// arrays (64 and 8 entries per cache line), so a stamp on the ingest
-/// hot path touches one or two lines instead of one per probed slot.
+/// hot path touches one or two lines instead of one per probed slot. A
+/// slot is resident while its `seen` stage mask is non-zero.
 struct Table {
     seen: Box<[u8]>,
     ids: Box<[u64]>,
-    t_ns: Box<[[u64; STAGE_COUNT]]>,
+    /// One row of `NAMES.len()` stamps per slot.
+    t_ns: Box<[u64]>,
 }
 
-impl Table {
-    fn take(&mut self, i: usize) -> Slot {
-        let s = Slot {
-            seen: self.seen[i],
-            t_ns: self.t_ns[i],
-        };
-        self.seen[i] = 0;
-        s
-    }
-}
-
-/// Fixed-capacity causal tracer. All histograms and counters live in
-/// the [`MetricsRegistry`] passed at construction:
-///
-/// * `obs_trace_e2e_ns` — first-stamp to last-stamp latency of
-///   completed traces (the control-loop latency histogram).
-/// * `obs_trace_stage_ns{from=..,to=..}` — lag between consecutive
-///   stamped stages.
-/// * `obs_trace_completed_total` — traces closed normally.
-/// * `obs_trace_lost_total{last=..}` — traces that never completed,
-///   keyed by the furthest stage they reached.
-pub struct FrameTracer {
+/// Fixed-capacity causal tracer over the stage set `S`; see the module
+/// docs. All histograms and counters live in the [`MetricsRegistry`]
+/// passed at construction.
+pub struct Tracer<S: StageSet> {
+    enabled: AtomicBool,
     table: Mutex<Table>,
-    e2e: Histogram,
-    stage_lag: [Histogram; STAGE_COUNT - 1],
+    stage_lag: Box<[Histogram]>,
+    intervals: Box<[Histogram]>,
     completed: Counter,
-    lost: [Counter; STAGE_COUNT],
+    lost: Box<[Counter]>,
+    stages: PhantomData<S>,
 }
 
-impl FrameTracer {
+impl<S: StageSet> Tracer<S> {
     /// A tracer registering its metrics in `registry`.
     pub fn new(registry: &MetricsRegistry) -> Self {
-        let stage_lag = std::array::from_fn(|i| {
-            registry.histogram(&format!(
-                "obs_trace_stage_ns{{from=\"{}\",to=\"{}\"}}",
-                STAGE_NAMES[i],
-                STAGE_NAMES[i + 1]
-            ))
-        });
-        let lost = std::array::from_fn(|i| {
-            registry.counter(&format!(
-                "obs_trace_lost_total{{last=\"{}\"}}",
-                STAGE_NAMES[i]
-            ))
-        });
+        const { assert!(S::NAMES.len() <= MAX_STAGES && S::CAPACITY.is_power_of_two()) };
+        let (names, prefix) = (S::NAMES, S::PREFIX);
+        let stage_lag = names
+            .windows(2)
+            .map(|w| {
+                registry.histogram(&format!(
+                    "{prefix}_stage_ns{{from=\"{}\",to=\"{}\"}}",
+                    w[0], w[1]
+                ))
+            })
+            .collect();
+        let lost = names
+            .iter()
+            .map(|n| registry.counter(&format!("{prefix}_lost_total{{last=\"{n}\"}}")))
+            .collect();
+        let intervals = S::INTERVALS
+            .iter()
+            .map(|(n, _)| registry.histogram(&format!("{prefix}_{n}_ns")))
+            .collect();
         // Touch every page at construction: the zeroed allocations are
         // otherwise backed lazily, and the page faults would land in
-        // the first few thousand stamp() calls on the ingest hot path.
-        let mut seen = vec![0u8; CAPACITY].into_boxed_slice();
-        let mut ids = vec![0u64; CAPACITY].into_boxed_slice();
-        let mut t_ns = vec![[0u64; STAGE_COUNT]; CAPACITY].into_boxed_slice();
-        unsafe {
-            for s in seen.iter_mut() {
-                std::ptr::write_volatile(s, 0);
-            }
-            for id in ids.iter_mut() {
-                std::ptr::write_volatile(id, 0);
-            }
-            for row in t_ns.iter_mut() {
-                std::ptr::write_volatile(&mut row[0], 0);
-            }
-        }
-        FrameTracer {
+        // the first few thousand stamps on the ingest hot path. The
+        // opaque fill value keeps the stores from being elided.
+        let mut seen = vec![0u8; S::CAPACITY].into_boxed_slice();
+        let mut ids = vec![0u64; S::CAPACITY].into_boxed_slice();
+        let mut t_ns = vec![0u64; S::CAPACITY * names.len()].into_boxed_slice();
+        seen.fill(std::hint::black_box(0));
+        ids.fill(std::hint::black_box(0));
+        t_ns.fill(std::hint::black_box(0));
+        Tracer {
+            enabled: AtomicBool::new(true),
             table: Mutex::new(Table { seen, ids, t_ns }),
-            e2e: registry.histogram("obs_trace_e2e_ns"),
             stage_lag,
-            completed: registry.counter("obs_trace_completed_total"),
+            intervals,
+            completed: registry.counter(&format!("{prefix}_completed_total")),
             lost,
+            stages: PhantomData,
         }
+    }
+
+    /// Disable (or re-enable) stamping and closing; a disabled tracer's
+    /// `stamp`/`close` are one atomic load. [`flush`](Self::flush)
+    /// still accounts whatever is resident.
+    pub fn set_enabled(&self, on: bool) {
+        self.enabled.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether stamping is active.
+    pub fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Stamp `stage` of trace `id` at `now_s` (clock seconds; stored as
     /// integer nanoseconds). Creates the trace on first stamp; if the
     /// probe window is full the displaced resident is finalised as lost.
-    pub fn stamp(&self, id: u64, stage: Stage, now_s: f64) {
-        let now_ns = (now_s * 1e9).round().max(0.0) as u64;
-        let lost_slot = {
-            let mut g = self.table.lock();
-            Self::stamp_in(&mut g, id, stage, now_ns)
-        };
-        if let Some(s) = lost_slot {
-            self.finalize_lost(&s);
-        }
+    pub fn stamp(&self, id: u64, stage: S, now_s: f64) {
+        self.stamp_batch(stage, now_s, [id]);
     }
 
     /// Stamp `stage` for every id in `ids` at one shared timestamp,
     /// taking the table lock once for the whole batch — the ingest
     /// hot-path amortisation (a drained batch shares one drain instant
-    /// anyway). Displaced residents are finalised inline; the loss
-    /// counters are plain atomics, so no lock ordering is at stake.
-    pub fn stamp_batch(&self, stage: Stage, now_s: f64, ids: impl IntoIterator<Item = u64>) {
-        let now_ns = (now_s * 1e9).round().max(0.0) as u64;
+    /// anyway).
+    pub fn stamp_batch(&self, stage: S, now_s: f64, ids: impl IntoIterator<Item = u64>) {
+        if !self.enabled() {
+            return;
+        }
+        let (stage, now_ns) = (stage.index(), to_ns(now_s));
+        let n = S::NAMES.len();
         let mut g = self.table.lock();
         for id in ids {
-            if let Some(s) = Self::stamp_in(&mut g, id, stage, now_ns) {
-                self.finalize_lost(&s);
-            }
-        }
-    }
-
-    /// The probe/insert body shared by [`stamp`](Self::stamp) and
-    /// [`stamp_batch`](Self::stamp_batch); returns a displaced resident
-    /// for the caller to finalise as lost.
-    fn stamp_in(g: &mut Table, id: u64, stage: Stage, now_ns: u64) -> Option<Slot> {
-        let mask = CAPACITY - 1;
-        let start = (id as usize).wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) & mask;
-        let mut lost_slot = None;
-        let mut free: Option<usize> = None;
-        let mut found: Option<usize> = None;
-        for k in 0..PROBE {
-            let i = (start + k) & mask;
-            if g.seen[i] == 0 {
-                if free.is_none() {
-                    free = Some(i);
+            let i = match Self::probe(&g, id) {
+                Ok(i) => i,
+                Err(i) => {
+                    if g.seen[i] != 0 {
+                        self.finalize_lost(g.seen[i]);
+                        g.seen[i] = 0;
+                    }
+                    g.ids[i] = id;
+                    i
                 }
-            } else if g.ids[i] == id {
-                found = Some(i);
-                break;
+            };
+            if g.seen[i] & (1 << stage) == 0 {
+                g.seen[i] |= 1 << stage;
+                g.t_ns[i * n + stage] = now_ns;
             }
         }
-        let i = match found {
-            Some(i) => i,
-            None => {
-                let i = free.unwrap_or(start);
-                if g.seen[i] != 0 {
-                    lost_slot = Some(g.take(i));
-                }
-                g.ids[i] = id;
-                g.seen[i] = 0;
-                i
-            }
-        };
-        if g.seen[i] & (1 << stage as usize) == 0 {
-            g.seen[i] |= 1 << stage as usize;
-            g.t_ns[i][stage as usize] = now_ns;
-        }
-        lost_slot
     }
 
-    /// Whether trace `id` is currently resident (stamped, not closed).
-    pub fn is_resident(&self, id: u64) -> bool {
-        let g = self.table.lock();
-        let mask = CAPACITY - 1;
-        let start = (id as usize).wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) & mask;
-        (0..PROBE).any(|k| {
-            let i = (start + k) & mask;
-            g.seen[i] != 0 && g.ids[i] == id
-        })
-    }
-
-    /// Close trace `id`: fold its lags into the histograms and count it
-    /// completed. No-op if the trace is not resident (already evicted).
+    /// Close trace `id`: fold its lags and intervals into the histograms
+    /// and count it completed. No-op if the trace is not resident.
     pub fn close(&self, id: u64) {
-        let slot = {
-            let mut g = self.table.lock();
-            let mask = CAPACITY - 1;
-            let start = (id as usize).wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) & mask;
-            let mut taken = None;
-            for k in 0..PROBE {
-                let i = (start + k) & mask;
-                if g.seen[i] != 0 && g.ids[i] == id {
-                    taken = Some(g.take(i));
-                    break;
-                }
-            }
-            taken
-        };
-        if let Some(s) = slot {
-            self.finalize_completed(&s);
+        if !self.enabled() {
+            return;
         }
+        let n = S::NAMES.len();
+        let mut t_ns = [0u64; MAX_STAGES];
+        let seen = {
+            let mut g = self.table.lock();
+            let Ok(i) = Self::probe(&g, id) else {
+                return;
+            };
+            t_ns[..n].copy_from_slice(&g.t_ns[i * n..(i + 1) * n]);
+            std::mem::take(&mut g.seen[i])
+        };
+        self.finalize_completed(seen, &t_ns);
     }
 
     /// Finalise every resident trace as lost (end-of-run accounting:
-    /// anything still open never made it through the loop).
+    /// anything still open never made it through).
     pub fn flush(&self) {
-        let residents: Vec<Slot> = {
-            let mut g = self.table.lock();
-            let mut v = Vec::new();
-            for i in 0..CAPACITY {
-                if g.seen[i] != 0 {
-                    v.push(g.take(i));
-                }
-            }
-            v
-        };
-        for s in &residents {
-            self.finalize_lost(s);
+        let mut g = self.table.lock();
+        for seen in g.seen.iter_mut().filter(|s| **s != 0) {
+            self.finalize_lost(std::mem::take(seen));
         }
     }
 
-    /// Completed-trace count (readout convenience).
-    pub fn completed(&self) -> u64 {
-        self.completed.get()
+    /// Probe `id`'s window: `Ok(slot)` if it is resident, otherwise
+    /// `Err(slot)` naming where to insert it — the window's first free
+    /// slot, or its start (to be evicted) when the window is full.
+    fn probe(g: &Table, id: u64) -> Result<usize, usize> {
+        let mask = S::CAPACITY - 1;
+        let start = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize) & mask;
+        let mut free = None;
+        for k in 0..PROBE {
+            let i = (start + k) & mask;
+            if g.seen[i] == 0 {
+                free.get_or_insert(i);
+            } else if g.ids[i] == id {
+                return Ok(i);
+            }
+        }
+        Err(free.unwrap_or(start))
     }
 
-    fn finalize_completed(&self, s: &Slot) {
-        let mut first = None;
-        let mut last = None;
-        let mut prev: Option<usize> = None;
-        for i in 0..STAGE_COUNT {
-            if s.seen & (1 << i) == 0 {
-                continue;
-            }
-            if first.is_none() {
-                first = Some(s.t_ns[i]);
-            }
-            last = Some(s.t_ns[i]);
-            if let Some(p) = prev {
-                // Consecutive stamped pair: attribute the lag to the
-                // (p, p+1) edge when adjacent; skipped stages fold the
-                // whole gap into the edge leaving the earlier stage.
-                let lag = s.t_ns[i].saturating_sub(s.t_ns[p]);
-                self.stage_lag[p.min(STAGE_COUNT - 2)].record(lag);
-            }
-            prev = Some(i);
+    fn finalize_completed(&self, seen: u8, t_ns: &[u64; MAX_STAGES]) {
+        let stamped = || (0..S::NAMES.len()).filter(move |&i| seen & (1 << i) != 0);
+        // Consecutive stamped pairs: a skipped stage folds the whole gap
+        // into the edge leaving the earlier stamped stage.
+        for (p, i) in stamped().zip(stamped().skip(1)) {
+            self.stage_lag[p].record(t_ns[i].saturating_sub(t_ns[p]));
         }
-        if let (Some(a), Some(b)) = (first, last) {
-            self.e2e.record(b.saturating_sub(a));
+        for (h, (_, interval)) in self.intervals.iter().zip(S::INTERVALS) {
+            let (from, to) = match *interval {
+                Interval::FirstToLast => (seen.trailing_zeros() as usize, last_stage(seen)),
+                Interval::Between(a, b) => (a.index(), b.index()),
+            };
+            if seen & (1 << from) != 0 && seen & (1 << to) != 0 {
+                h.record(t_ns[to].saturating_sub(t_ns[from]));
+            }
         }
         self.completed.inc();
     }
 
-    fn finalize_lost(&self, s: &Slot) {
-        let furthest = (0..STAGE_COUNT).rev().find(|&i| s.seen & (1 << i) != 0);
-        if let Some(i) = furthest {
-            self.lost[i].inc();
-        }
+    /// Count a trace lost at the furthest stage it reached.
+    fn finalize_lost(&self, seen: u8) {
+        self.lost[last_stage(seen)].inc();
     }
 }
 
-impl std::fmt::Debug for FrameTracer {
+/// The furthest stage stamped in a non-empty `seen` mask.
+fn last_stage(seen: u8) -> usize {
+    (u8::BITS - 1 - seen.leading_zeros()) as usize
+}
+
+impl<S: StageSet> std::fmt::Debug for Tracer<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrameTracer")
+        f.debug_struct("Tracer")
+            .field("prefix", &S::PREFIX)
+            .field("enabled", &self.enabled())
             .field("completed", &self.completed.get())
             .finish_non_exhaustive()
     }
@@ -331,7 +394,10 @@ impl std::fmt::Debug for FrameTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    fn counter(r: &MetricsRegistry, name: &str) -> u64 {
+        r.find_counter(name).unwrap().get()
+    }
 
     #[test]
     fn trace_id_is_deterministic_and_topic_sensitive() {
@@ -351,19 +417,17 @@ mod tests {
     }
 
     #[test]
-    fn complete_trace_records_e2e_and_stage_lags() {
-        let r = Arc::new(MetricsRegistry::new());
-        let t = FrameTracer::new(&r);
+    fn complete_frame_trace_records_e2e_and_stage_lags() {
+        let r = MetricsRegistry::new();
+        let t = Tracer::<Stage>::new(&r);
         let id = frame_trace_id("t", b"payload-header-bytes-....");
         t.stamp(id, Stage::BrokerPublish, 1.0);
         t.stamp(id, Stage::SessionDeliver, 1.0);
         t.stamp(id, Stage::IngestAppend, 2.0);
         t.stamp(id, Stage::SchedulerTick, 2.0);
         t.stamp(id, Stage::DvfsPublish, 2.0);
-        assert!(t.is_resident(id));
         t.close(id);
-        assert!(!t.is_resident(id));
-        assert_eq!(t.completed(), 1);
+        assert_eq!(counter(&r, "obs_trace_completed_total"), 1);
         let e2e = r.find_histogram("obs_trace_e2e_ns").unwrap().snapshot();
         assert_eq!(e2e.count, 1);
         assert_eq!(e2e.max, 1_000_000_000);
@@ -374,66 +438,92 @@ mod tests {
             .snapshot();
         assert_eq!(lag.count, 1);
         assert_eq!(lag.max, 1_000_000_000);
+        // Closed traces are no longer resident: a second close is a no-op.
+        t.close(id);
+        assert_eq!(counter(&r, "obs_trace_completed_total"), 1);
+    }
+
+    #[test]
+    fn full_grant_span_records_apply_and_e2e_latency() {
+        let r = MetricsRegistry::new();
+        let t = Tracer::<GrantStage>::new(&r);
+        t.stamp(7, GrantStage::FedSplit, 100.0);
+        t.stamp(7, GrantStage::BridgeDeliver, 100.0);
+        t.stamp(7, GrantStage::RackReceive, 130.0);
+        t.stamp(7, GrantStage::CapCommand, 130.0);
+        t.stamp(7, GrantStage::PowerCrossing, 160.0);
+        t.close(7);
+        assert_eq!(counter(&r, "obs_grant_completed_total"), 1);
+        let apply = r.find_histogram("obs_grant_apply_ns").unwrap().snapshot();
+        assert_eq!(apply.count, 1);
+        assert_eq!(apply.sum, 30_000_000_000);
+        let e2e = r.find_histogram("obs_grant_e2e_ns").unwrap().snapshot();
+        assert_eq!(e2e.sum, 60_000_000_000);
     }
 
     #[test]
     fn duplicate_stamp_keeps_first_timestamp() {
-        let r = Arc::new(MetricsRegistry::new());
-        let t = FrameTracer::new(&r);
-        t.stamp(7, Stage::BrokerPublish, 1.0);
-        t.stamp(7, Stage::BrokerPublish, 5.0);
-        t.stamp(7, Stage::DvfsPublish, 2.0);
-        t.close(7);
-        let e2e = r.find_histogram("obs_trace_e2e_ns").unwrap().snapshot();
-        assert_eq!(e2e.max, 1_000_000_000);
+        let r = MetricsRegistry::new();
+        let t = Tracer::<GrantStage>::new(&r);
+        t.stamp(3, GrantStage::FedSplit, 10.0);
+        t.stamp(3, GrantStage::RackReceive, 40.0);
+        // A broker restart replays the retained grant; the duplicate
+        // stamp must not move the timestamp.
+        t.stamp(3, GrantStage::RackReceive, 70.0);
+        t.stamp(3, GrantStage::PowerCrossing, 50.0);
+        t.close(3);
+        let e2e = r.find_histogram("obs_grant_e2e_ns").unwrap().snapshot();
+        assert_eq!(e2e.sum, 40_000_000_000);
+        // Without a cap command the apply interval is not recorded.
+        let apply = r.find_histogram("obs_grant_apply_ns").unwrap().snapshot();
+        assert_eq!(apply.count, 0);
     }
 
     #[test]
     fn flush_counts_unclosed_traces_as_lost_by_furthest_stage() {
-        let r = Arc::new(MetricsRegistry::new());
-        let t = FrameTracer::new(&r);
+        let r = MetricsRegistry::new();
+        let t = Tracer::<Stage>::new(&r);
         t.stamp(1, Stage::BrokerPublish, 0.0);
         t.stamp(2, Stage::BrokerPublish, 0.0);
         t.stamp(2, Stage::SessionDeliver, 0.1);
         t.flush();
-        assert_eq!(
-            r.find_counter("obs_trace_lost_total{last=\"broker_publish\"}")
-                .unwrap()
-                .get(),
-            1
-        );
-        assert_eq!(
-            r.find_counter("obs_trace_lost_total{last=\"session_deliver\"}")
-                .unwrap()
-                .get(),
-            1
-        );
-        assert_eq!(t.completed(), 0);
-        // Flushed slots are gone.
-        assert!(!t.is_resident(1));
+        let lost = |stage| counter(&r, &format!("obs_trace_lost_total{{last=\"{stage}\"}}"));
+        assert_eq!(lost("broker_publish"), 1);
+        assert_eq!(lost("session_deliver"), 1);
+        assert_eq!(counter(&r, "obs_trace_completed_total"), 0);
+        // Flushed slots are gone: closing or flushing again finds nothing.
+        t.close(1);
         t.flush();
-        assert_eq!(
-            r.find_counter("obs_trace_lost_total{last=\"broker_publish\"}")
-                .unwrap()
-                .get(),
-            1
-        );
+        assert_eq!(lost("broker_publish"), 1);
+        assert_eq!(counter(&r, "obs_trace_completed_total"), 0);
     }
 
     #[test]
     fn table_eviction_finalizes_displaced_trace_as_lost() {
-        let r = Arc::new(MetricsRegistry::new());
-        let t = FrameTracer::new(&r);
+        let r = MetricsRegistry::new();
+        let t = Tracer::<Stage>::new(&r);
         // Far more traces than capacity: evictions must not panic and
         // must account every displaced trace as lost.
-        for id in 0..(2 * CAPACITY as u64) {
-            t.stamp(id, Stage::BrokerPublish, id as f64 * 1e-3);
-        }
+        let n = 2 * Stage::CAPACITY as u64;
+        t.stamp_batch(Stage::BrokerPublish, 0.0, 0..n);
         t.flush();
-        let lost = r
-            .find_counter("obs_trace_lost_total{last=\"broker_publish\"}")
-            .unwrap()
-            .get();
-        assert_eq!(lost, 2 * CAPACITY as u64);
+        assert_eq!(
+            counter(&r, "obs_trace_lost_total{last=\"broker_publish\"}"),
+            n
+        );
+    }
+
+    #[test]
+    fn disabled_tracer_stamps_nothing() {
+        let r = MetricsRegistry::new();
+        let t = Tracer::<GrantStage>::new(&r);
+        t.set_enabled(false);
+        t.stamp(9, GrantStage::FedSplit, 1.0);
+        t.stamp(9, GrantStage::PowerCrossing, 2.0);
+        t.close(9);
+        t.flush();
+        assert_eq!(counter(&r, "obs_grant_completed_total"), 0);
+        assert_eq!(counter(&r, "obs_grant_lost_total{last=\"fed_split\"}"), 0);
+        assert!(!t.enabled());
     }
 }

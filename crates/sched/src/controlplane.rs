@@ -240,7 +240,7 @@ impl ControlPlaneObs {
     /// between the first sample's timestamp and the loop seeing it.
     fn on_frame(&mut self, f: &DecodedFrame, stored: usize) {
         let now = self.hub.clock.now_s();
-        self.hub.tracer.stamp(f.trace_id, Stage::IngestAppend, now);
+        self.hub.frames.stamp(f.trace_id, Stage::IngestAppend, now);
         self.pending.push(f.trace_id);
         self.frames.inc();
         self.samples_stored.add(stored as u64);
@@ -255,16 +255,16 @@ impl ControlPlaneObs {
     /// Stamp `stage` on every frame ingested this tick.
     fn stamp_pending(&self, stage: Stage) {
         let now = self.hub.clock.now_s();
-        for &id in &self.pending {
-            self.hub.tracer.stamp(id, stage, now);
-        }
+        self.hub
+            .frames
+            .stamp_batch(stage, now, self.pending.iter().copied());
     }
 
     /// Retire the tick: close every trace it ingested, folding the
     /// stage lags into the hub's latency histograms.
     fn close_tick(&mut self) {
         for id in self.pending.drain(..) {
-            self.hub.tracer.close(id);
+            self.hub.frames.close(id);
         }
     }
 }
@@ -1182,7 +1182,7 @@ pub mod replay {
         if let Some(o) = obs.as_mut() {
             // Whatever is still resident in the tracer never completed
             // its causal chain: account it as lost at its last stage.
-            o.hub.tracer.flush();
+            o.hub.frames.flush();
         }
         let mut report = cp.report();
         report.total_energy_j = total_energy_j;

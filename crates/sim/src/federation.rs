@@ -35,7 +35,7 @@ use davide_core::rng::Rng;
 use davide_core::time::{SimDuration, SimTime};
 use davide_core::Watts;
 use davide_mqtt::{Bridge, Broker, Client, QoS};
-use davide_obs::{flight, GrantStage};
+use davide_obs::GrantStage;
 use davide_sched::{CapSchedule, ControlPlaneConfig};
 use davide_telemetry::gateway::SampleFrame;
 use davide_telemetry::TsDbConfig;
@@ -229,7 +229,7 @@ pub(crate) struct Federator {
     /// Grants currently in force, per rack.
     caps_w: Vec<f64>,
     /// Next grant sequence number per rack: stamped into the grant
-    /// payload so the rack-side span tracer can stitch the causal
+    /// payload so the rack-side grant tracer can stitch the causal
     /// chain. Increments only on actual publishes, so it is as
     /// deterministic as the rebalance decisions themselves.
     grant_seq: Vec<u64>,
@@ -296,9 +296,7 @@ impl Federator {
             // go to the *rack's* tracer — the span belongs to the rack
             // the grant is for — on the rack's manual clock, so traced
             // and untraced runs stay bit-identical.
-            let span = rack.hub.span.clone();
-            let flight_rec = rack.hub.flight.clone();
-            let clock = rack.hub.clock.clone();
+            let hub = rack.hub.clone();
             downlink.set_forward_hook(Some(Box::new(move |_topic, payload, _retain| {
                 let text = std::str::from_utf8(payload).unwrap_or("");
                 let mut tokens = text.split_whitespace();
@@ -308,15 +306,7 @@ impl Federator {
                 let Some(seq) = tokens.next().and_then(|v| v.parse::<u64>().ok()) else {
                     return;
                 };
-                let t_s = clock.now_s();
-                span.stamp(seq, GrantStage::BridgeDeliver, t_s);
-                flight_rec.push(
-                    (t_s * 1e9).round() as u64,
-                    flight::kind::BRIDGE_DELIVER,
-                    "",
-                    seq,
-                    w.to_bits(),
-                );
+                hub.grant_hop(seq, GrantStage::BridgeDeliver, hub.clock.now_s(), w);
             })));
             downlinks.push(downlink);
         }
@@ -438,11 +428,7 @@ impl Federator {
                         true,
                     )
                     .expect("site broker is never down");
-                racks[i].hub.span.stamp(seq, GrantStage::FedSplit, t_s);
-                racks[i]
-                    .hub
-                    .flight
-                    .push(t_ns, flight::kind::FED_SPLIT, "", seq, g.0.to_bits());
+                racks[i].hub.grant_hop(seq, GrantStage::FedSplit, t_s, g.0);
                 self.log.push(Event::FedRebalance {
                     t_ns,
                     rack: i as u32,
@@ -558,7 +544,7 @@ pub fn run_federated_with_db_config(fs: &FedScenario, db_cfg: TsDbConfig) -> Fed
 }
 
 /// [`run_federated_with_db_config`] with an explicit tracing switch:
-/// `tracing = false` disarms every rack's grant-span tracer and flight
+/// `tracing = false` disarms every rack's grant tracer and flight
 /// recorder (the instrumentation's atomic early-outs), which is the
 /// baseline side of E29's overhead A/B. The event logs — and therefore
 /// [`FedOutcome::digest`] — are bit-identical either way; only the obs
@@ -657,7 +643,7 @@ mod tests {
                 .iter()
                 .map(|(_, e)| e.kind)
                 .collect();
-            for stage in davide_obs::GRANT_STAGE_NAMES {
+            for stage in <GrantStage as davide_obs::StageSet>::NAMES {
                 assert!(kinds.contains(stage), "{}: flight saw {stage}", r.scenario);
             }
         }

@@ -959,17 +959,11 @@ impl RackSim {
                 };
                 let seq = tokens.next().and_then(|v| v.parse::<u64>().ok());
                 if let Some(seq) = seq {
-                    self.hub.span.stamp(seq, GrantStage::RackReceive, t_s);
-                    self.hub
-                        .flight
-                        .push(t_ns, flight::kind::RACK_RECEIVE, "", seq, w.to_bits());
+                    self.hub.grant_hop(seq, GrantStage::RackReceive, t_s, w);
                 }
                 if self.apply_cap(t_ns, w) {
                     if let Some(seq) = seq {
-                        self.hub.span.stamp(seq, GrantStage::CapCommand, t_s);
-                        self.hub
-                            .flight
-                            .push(t_ns, flight::kind::CAP_COMMAND, "", seq, w.to_bits());
+                        self.hub.grant_hop(seq, GrantStage::CapCommand, t_s, w);
                         // A newly-commanded grant supersedes anything
                         // still waiting to actuate: the old spans stay
                         // resident and flush as lost-at-cap-command.
@@ -1150,14 +1144,11 @@ impl RackSim {
         //    the causal chain's terminal hop. ──
         if !self.pending_grants.is_empty() {
             let t_s = t.as_secs_f64();
-            let t_ns = t.0;
             let hub = &self.hub;
             self.pending_grants.retain(|&(seq, cap_w)| {
                 if sys_w <= cap_w {
-                    hub.span.stamp(seq, GrantStage::PowerCrossing, t_s);
-                    hub.span.close(seq);
-                    hub.flight
-                        .push(t_ns, flight::kind::POWER_CROSSING, "", seq, cap_w.to_bits());
+                    hub.grant_hop(seq, GrantStage::PowerCrossing, t_s, cap_w);
+                    hub.grants.close(seq);
                     false
                 } else {
                     true
@@ -1287,8 +1278,8 @@ impl RackSim {
         self.broker.set_fault_hook(None);
         // Anything still resident in the tracers never completed its
         // loop: account it as lost at whatever stage it last reached.
-        self.hub.tracer.flush();
-        self.hub.span.flush();
+        self.hub.frames.flush();
+        self.hub.grants.flush();
 
         RunOutcome {
             scenario: self.sc.name.clone(),

@@ -106,7 +106,7 @@ impl IngestObs {
     pub fn on_frames_appended(&self, frames: &[DecodedFrame], stored: u64, offered: u64) {
         let now = self.hub.clock.now_s();
         self.hub
-            .tracer
+            .frames
             .stamp_batch(Stage::IngestAppend, now, frames.iter().map(|f| f.trace_id));
         for f in frames {
             self.record_age(now, f.frame.t0_s);
@@ -127,7 +127,7 @@ impl IngestObs {
     ) {
         let now = self.hub.clock.now_s();
         self.hub
-            .tracer
+            .frames
             .stamp_batch(Stage::IngestAppend, now, trace_ids.iter().copied());
         for &t0 in t0s {
             self.record_age(now, t0);

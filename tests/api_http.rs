@@ -18,7 +18,7 @@ use davide_api::{
     ApiServer, ApiServerConfig, HttpClient, JobProfileRequest, JobRollupRequest, QueryOp,
     QueryRequest, QueryService, QueryServiceConfig, RunningServer, UserRollupRequest,
 };
-use davide_obs::{flight, GrantStage, ObsHub};
+use davide_obs::{flight, GrantStage, ObsHub, StageSet};
 use davide_sched::{
     simulate, Fcfs, PlacementStrategy, SimConfig, WorkloadConfig, WorkloadGenerator,
 };
@@ -197,15 +197,20 @@ fn observability_endpoints_are_bit_identical_to_the_direct_call() {
         .into_iter()
         .enumerate()
         {
-            hub.span.stamp(7, stage, t0 + k as f64);
+            hub.grants.stamp(7, stage, t0 + k as f64);
         }
-        hub.span.close(7);
+        hub.grants.close(7);
         let cap = 8_000.0 + rack as f64;
         let t_ns = (t0 * 1e9) as u64;
         hub.flight
-            .push(t_ns, flight::kind::FED_SPLIT, "", 7, cap.to_bits());
-        hub.flight
-            .push(t_ns + 5, flight::kind::CAP_COMMAND, "", 7, cap.to_bits());
+            .push(t_ns, GrantStage::FedSplit.name(), "", 7, cap.to_bits());
+        hub.flight.push(
+            t_ns + 5,
+            GrantStage::CapCommand.name(),
+            "",
+            7,
+            cap.to_bits(),
+        );
         hub.flight.push(
             t_ns + 9,
             flight::kind::VIOLATION,

@@ -3,25 +3,22 @@
 //! that logical index, never a mix of two writes.
 
 use davide_obs::flight::kind;
-use davide_obs::{FlightEvent, FlightRecorder};
+use davide_obs::{FlightEvent, FlightRecorder, GrantStage, StageSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Kinds and labels of different lengths, so a (ptr, len) pair torn
-/// across two writes would show up as a wrong string.
-const KINDS: [&str; 6] = [
-    kind::FED_SPLIT,
-    kind::BRIDGE_DELIVER,
-    kind::RACK_RECEIVE,
-    kind::CAP_COMMAND,
-    kind::POWER_CROSSING,
-    kind::VIOLATION,
-];
+/// Kinds (the grant stage names, then the violation kind) and labels of
+/// different lengths, so a (ptr, len) pair torn across two writes would
+/// show up as a wrong string.
+fn kind_of(n: u64) -> &'static str {
+    let k = n as usize % (GrantStage::NAMES.len() + 1);
+    GrantStage::NAMES.get(k).copied().unwrap_or(kind::VIOLATION)
+}
 const LABELS: [&str; 4] = ["", "cap", "budget_conservation", "x"];
 
 fn event(n: u64) -> FlightEvent {
     FlightEvent {
         t_ns: 10 * n,
-        kind: KINDS[n as usize % KINDS.len()],
+        kind: kind_of(n),
         label: LABELS[n as usize % LABELS.len()],
         seq: n,
         value_bits: n.rotate_left(17) ^ 0x5bd1_e995,

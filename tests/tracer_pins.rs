@@ -39,7 +39,7 @@ const FRAME_OVERFILL: u64 = 3 * 4096;
 const GRANT_OVERFILL: u64 = 3 * 256;
 
 fn drive_frames(hub: &ObsHub) {
-    let t = &hub.tracer;
+    let t = &hub.frames;
     // Full spans with uneven, sub-microsecond hop lags.
     for id in 1..=40u64 {
         for (k, &stage) in FRAME_STAGES.iter().enumerate() {
@@ -118,7 +118,7 @@ fn drive_frames(hub: &ObsHub) {
 }
 
 fn drive_grants(hub: &ObsHub) {
-    let t = &hub.span;
+    let t = &hub.grants;
     // Full spans: apply (split → command) and e2e (split → crossing).
     for seq in 1..=12u64 {
         for (k, &stage) in GRANT_STAGES.iter().enumerate() {
@@ -186,9 +186,9 @@ fn drive_grants(hub: &ObsHub) {
         }
         t.close(seq);
     }
-    hub.tracer.stamp(77, Stage::BrokerPublish, 80.0);
-    hub.tracer.stamp(77, Stage::DvfsPublish, 80.125);
-    hub.tracer.close(77);
+    hub.frames.stamp(77, Stage::BrokerPublish, 80.0);
+    hub.frames.stamp(77, Stage::DvfsPublish, 80.125);
+    hub.frames.close(77);
     hub.set_tracing_enabled(true);
     // Re-armed: the open residents finish, then the run flushes.
     for seq in 5_000..5_005u64 {
