@@ -1,27 +1,34 @@
-//! CI observability smoke: run a short instrumented closed-loop replay,
-//! render the metrics exposition, and fail if the obs stack produced an
-//! empty registry, a non-finite sample, or a dead latency histogram.
-//! Then run one small federated scenario twice — tracing disarmed and
-//! armed — and fail unless the digests are bit-identical, grant spans
-//! completed on every rack, and the tracing overhead stays inside the
-//! E29 smoke gate.
+//! CI observability smoke: run a short closed-loop scenario on the sim
+//! harness (whose obs stack is always armed), render the metrics
+//! exposition, and fail if the obs stack produced an empty registry, a
+//! non-finite sample, or a dead latency histogram, or if the finished
+//! registry does not round-trip over MQTT into a store. Then run one
+//! small federated scenario twice — tracing disarmed and armed — and
+//! fail unless the digests are bit-identical, grant spans completed on
+//! every rack, and the tracing overhead stays inside the E29 smoke gate.
 //!
 //! Exit code 0 only when every check holds.
 
-use davide_sched::controlplane::{replay_instrumented, ControlMode, ReplayConfig, ReplayObs};
-use davide_sched::CapSchedule;
+use davide_bench::experiments::obs::self_telemetry_round_trip;
+use davide_sched::ControlMode;
 use davide_sim::federation::{run_federated_traced, FedScenario};
+use davide_sim::{scenario, Fault};
 use davide_telemetry::TsDbConfig;
 
 fn main() {
-    let mut cfg = ReplayConfig::e22(ControlMode::ClosedLoop, 8, CapSchedule::constant(11_000.0));
-    cfg.n_jobs = 25;
-    cfg.n_history = 400;
-    cfg.p_frame_drop = 0.02;
+    let mut sc = scenario::e22(ControlMode::ClosedLoop, 25, 400);
+    sc.n_nodes = 8;
+    sc.cap_w = 11_000.0;
+    sc.faults = vec![Fault::FrameLoss {
+        node: None,
+        p: 0.02,
+        from_s: 0.0,
+        until_s: f64::INFINITY,
+    }];
 
-    let mut obs = ReplayObs::new();
-    let report = replay_instrumented(&cfg, Some(&mut obs));
-    let reg = &obs.hub.registry;
+    let out = davide_sim::run(&sc);
+    let report = &out.report;
+    let reg = &out.obs.registry;
     let mut failed = false;
 
     // Every exported sample must be finite: a NaN gauge or histogram
@@ -64,8 +71,9 @@ fn main() {
             failed = true;
         }
     }
-    if obs.self_samples == 0 {
-        println!("self-telemetry loop published nothing");
+    let (_, self_samples) = self_telemetry_round_trip(reg, out.truth.makespan_s);
+    if self_samples == 0 {
+        println!("self-telemetry round trip stored nothing");
         failed = true;
     }
 
@@ -80,7 +88,7 @@ fn main() {
         report.jobs_completed,
         samples,
         text.len(),
-        obs.self_samples
+        self_samples
     );
     if let Some(s) = age {
         println!(

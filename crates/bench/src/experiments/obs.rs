@@ -1,21 +1,25 @@
 //! E24 — the monitoring plane measured by itself: the E22 closed-loop
-//! workload replayed with the `davide-obs` stack armed. Every pipeline
-//! stage (broker publish → fan-out delivery into the ingest subscriber's
-//! queue → ingest append → predictor update → scheduler tick → DVFS
-//! publish) stamps the hub's frame tracer, the control loop's
-//! instruments land in the shared registry, and the registry itself is
-//! republished over the replay broker on the reserved `davide/obs/#`
-//! namespace and re-ingested like node power.
+//! workload run on the sim harness, whose `davide-obs` stack is always
+//! armed. Every pipeline stage (broker publish → fan-out delivery into
+//! the ingest subscriber's queue → ingest append → predictor update →
+//! scheduler tick → DVFS publish) stamps the hub's frame tracer, and the
+//! control loop's instruments land in the shared registry. At the end
+//! of the run the registry is published once over MQTT on the reserved
+//! `davide/obs/#` namespace and ingested like node power.
 //!
-//! The report is the observability story of the PR: the control-loop
+//! The report is the observability story of the loop: the control-loop
 //! latency distribution (frame age at actuation and end-to-end trace
 //! latency), per-stage frame-loss accounting under injected broker
 //! loss, and the self-telemetry round trip.
 
 use crate::header;
-use davide_obs::{Stage, StageSet};
-use davide_sched::controlplane::{replay_instrumented, ControlMode, ReplayConfig, ReplayObs};
-use davide_sched::CapSchedule;
+use davide_mqtt::Broker;
+use davide_obs::{MetricsRegistry, Stage, StageSet, OBS_FILTER};
+use davide_sched::controlplane::ControlMode;
+use davide_sim::Fault;
+use davide_telemetry::ingest::FrameIngestor;
+use davide_telemetry::selfmon::SelfMonitor;
+use davide_telemetry::TsDb;
 
 use super::controlplane::SMOKE_ENV;
 
@@ -23,27 +27,46 @@ fn smoke() -> bool {
     std::env::var_os(SMOKE_ENV).is_some()
 }
 
-/// E24 — instrumented E22 replay: latency distributions, per-stage
-/// loss, self-telemetry round trip.
+/// Publish one snapshot of `registry`, stamped `t_s` (> 0, the end of
+/// the run), through a [`SelfMonitor`] on a fresh broker, and ingest it
+/// on [`OBS_FILTER`] into a store like any node's power. Returns the
+/// store and the samples it absorbed.
+pub fn self_telemetry_round_trip(registry: &MetricsRegistry, t_s: f64) -> (TsDb, u64) {
+    let broker = Broker::default();
+    let mut ingest =
+        FrameIngestor::subscribe(&broker, "obs-ingest", &[OBS_FILTER]).expect("subscribe obs");
+    // One period that ends at `t_s`: the pump below is due exactly once.
+    let mut mon = SelfMonitor::connect(&broker, "obs-selfmon", t_s).expect("selfmon connect");
+    mon.pump(t_s, registry);
+    let mut db = TsDb::new();
+    let samples = ingest.drain_into(&mut db) as u64;
+    (db, samples)
+}
+
+/// E24 — the instrumented E22 closed loop: latency distributions,
+/// per-stage loss, self-telemetry round trip.
 pub fn e24() {
     header("e24", "Self-instrumented control loop (obs stack)");
-    let mut cfg = ReplayConfig::e22(ControlMode::ClosedLoop, 16, CapSchedule::constant(22_000.0));
-    if smoke() {
-        cfg.n_jobs = 50;
-        cfg.n_history = 400;
-    }
+    let mut sc = super::controlplane::e22_scenario(ControlMode::ClosedLoop);
     // 5 % in-transit loss on the gateway → broker hop: these frames are
     // stamped at publish and then vanish, so they must surface in the
     // tracer's per-stage loss counters rather than disappear silently.
-    cfg.p_frame_drop = 0.05;
+    sc.faults = vec![Fault::FrameLoss {
+        node: None,
+        p: 0.05,
+        from_s: 0.0,
+        until_s: f64::INFINITY,
+    }];
     println!(
-        "closed loop, 16 nodes, cap 22 kW, 5 % injected broker loss{}",
+        "closed loop, {} nodes, cap {:.0} kW, 5 % injected broker loss{}",
+        sc.n_nodes,
+        sc.cap_w / 1e3,
         if smoke() { "  [smoke]" } else { "" }
     );
 
-    let mut obs = ReplayObs::new();
-    let report = replay_instrumented(&cfg, Some(&mut obs));
-    let reg = &obs.hub.registry;
+    let out = davide_sim::run(&sc);
+    let report = &out.report;
+    let reg = &out.obs.registry;
     let counter = |n: &str| reg.find_counter(n).map(|c| c.get()).unwrap_or(0);
     let hist = |n: &str| reg.find_histogram(n).map(|h| h.snapshot());
 
@@ -103,10 +126,11 @@ pub fn e24() {
     );
 
     // ── Self-telemetry round trip. ──
+    let (self_db, self_samples) = self_telemetry_round_trip(reg, out.truth.makespan_s);
     println!(
         "\nself-telemetry: {} obs samples round-tripped over MQTT into {} series",
-        obs.self_samples,
-        davide_telemetry::SeriesRead::series_names(&obs.self_db).len(),
+        self_samples,
+        davide_telemetry::SeriesRead::series_names(&self_db).len(),
     );
 
     assert!(age.count > 0, "latency distribution must be measured");
@@ -116,7 +140,7 @@ pub fn e24() {
         "injected broker loss must surface in per-stage counters"
     );
     assert!(
-        obs.self_samples > 0,
+        self_samples > 0,
         "the registry must round-trip through the telemetry pipeline"
     );
     println!("\nthe loop watches itself with its own plumbing: latency is a measured");

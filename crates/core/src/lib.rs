@@ -16,7 +16,7 @@
 //!   throttling), [`node`] (the 2×POWER8 + 4×P100 Garrison derivative),
 //!   [`rack`], [`cluster`] (the 45-node, ~1 PFlops, <100 kW pilot);
 //! * control — [`capping`] (PI DVFS capping, RAPL-style window limits),
-//!   [`budget`] (site→node power sharing, [34]), [`burnin`] (the E4
+//!   [`budget`] (site→node power sharing, \[34\]), [`burnin`] (the E4
 //!   acceptance suite of §I);
 //! * context — [`efficiency`] (Top500/Green500 reference data).
 //!

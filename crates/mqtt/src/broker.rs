@@ -426,10 +426,10 @@ pub enum PublishFate {
     /// Normal fan-out.
     Deliver,
     /// The packet never reaches the broker: no retained-store update,
-    /// no delivery. Counted in [`BrokerStats::injected_drops`].
+    /// no delivery. Counted in `mqtt_injected_drops_total`.
     Drop,
     /// The packet is processed twice back-to-back (duplicate QoS 1
-    /// delivery). Counted once in [`BrokerStats::injected_dups`].
+    /// delivery). Counted once in `mqtt_injected_dups_total`.
     Duplicate,
 }
 

@@ -22,9 +22,11 @@
 //! runs, keeps scheduling, and reports the degradation as
 //! [`ControlPlaneReport::stale_node_s`].
 //!
-//! [`replay`] drives the whole loop against a synthetic plant for the
-//! E22 experiment: open-loop (predict only), reactive-only, and the full
-//! closed loop over the same trace and cap schedule.
+//! The loop has no plant of its own: `davide_sim::harness` drives it
+//! against a synthetic plant on the discrete-event kernel, with fault
+//! injection and a ground-truth invariant checker. The E22 experiment
+//! runs the same trace and cap through all three [`ControlMode`]s
+//! there.
 
 use std::collections::HashMap;
 
@@ -38,8 +40,6 @@ use davide_mqtt::{Broker, BrokerError, Client, QoS};
 use davide_obs::{Counter, Gauge, Histogram, ObsHub, Stage};
 use davide_telemetry::ingest::{DecodedFrame, FrameIngestor};
 use davide_telemetry::tsdb::{Resolution, SeriesId, TsDb};
-
-pub use replay::{replay, replay_instrumented, DropModel, ReplayConfig, ReplayObs};
 
 /// Which halves of the loop are armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,8 +132,8 @@ pub struct Placement {
 
 /// End-of-run summary of one control-plane session. The energy-truth
 /// fields (`total_energy_j`, `overcap_energy_j`, `overcap_s`) are filled
-/// by the [`replay`] plant, which knows the ground-truth draw; the rest
-/// comes from the loop itself.
+/// by the plant that drives the loop (`davide_sim::harness`), which
+/// knows the ground-truth draw; the rest comes from the loop itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlPlaneReport {
     /// Mode the loop ran in.
@@ -507,8 +507,7 @@ impl ControlPlane {
     }
 
     /// Build the report for everything observed so far. Energy-truth
-    /// fields are zero until a plant (the [`replay`] harness) fills
-    /// them.
+    /// fields are zero until a plant (the sim harness) fills them.
     pub fn report(&self) -> ControlPlaneReport {
         let makespan = if self.first_submit_s.is_finite() {
             (self.last_end_s - self.first_submit_s).max(0.0)
@@ -826,407 +825,8 @@ fn parse_power_topic(topic: &str) -> Option<u32> {
     node.parse().ok()
 }
 
-/// Synthetic-plant replay of the full loop for E22: the plant renders
-/// each node's true power (with drift the batch predictor has not seen),
-/// publishes gateway frames over a real in-process broker, applies the
-/// loop's DVFS commands, and accounts ground-truth energy against the
-/// cap schedule.
-pub mod replay {
-    use super::*;
-    use crate::power_predictor::PowerPredictor;
-    use crate::workload::{WorkloadConfig, WorkloadGenerator};
-    use davide_core::rng::Rng;
-    use davide_mqtt::BrokerObs;
-    use davide_obs::{ManualClock, OBS_FILTER};
-    use davide_predictor::ModelKind;
-    use davide_telemetry::gateway::{power_topic, SampleFrame, FRAME_MAGIC};
-    use davide_telemetry::selfmon::SelfMonitor;
-    use std::sync::Arc;
-
-    /// Telemetry-loss injection: every node goes dark on a fixed cycle.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub enum DropModel {
-        /// All frames delivered.
-        None,
-        /// Each node publishes nothing for `blackout_s` out of every
-        /// `period_s`, phase-staggered by node id.
-        Blackout {
-            /// Cycle length, seconds.
-            period_s: f64,
-            /// Dark time per cycle, seconds.
-            blackout_s: f64,
-        },
-    }
-
-    /// Plant and trace parameters for one replay.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct ReplayConfig {
-        /// Loop configuration (mode, cap schedule, margins).
-        pub control: ControlPlaneConfig,
-        /// Jobs in the replayed trace.
-        pub n_jobs: usize,
-        /// Completed jobs used to batch-train the predictor first.
-        pub n_history: usize,
-        /// Control period, seconds.
-        pub tick_s: f64,
-        /// Gateway sample spacing inside a frame, seconds.
-        pub sample_dt_s: f64,
-        /// Workload shape.
-        pub workload: WorkloadConfig,
-        /// Batch model family for the base predictor.
-        pub model: ModelKind,
-        /// Per-app plant drift: true power is multiplied by the factor
-        /// for the job's app — the regime change the batch model has
-        /// not seen and the online corrector must learn.
-        pub app_drift: [f64; 4],
-        /// Multiplicative telemetry noise (1σ, relative).
-        pub noise: f64,
-        /// Telemetry-loss model.
-        pub drop: DropModel,
-        /// Fraction of gateway power frames the broker's fault hook
-        /// drops in transit (0 = lossless). Unlike [`DropModel`], these
-        /// frames *reach* the broker first, so the causal tracer
-        /// accounts them as lost at the publish stage.
-        pub p_frame_drop: f64,
-        /// RNG seed for plant noise.
-        pub seed: u64,
-    }
-
-    impl ReplayConfig {
-        /// E22 defaults: `n_nodes` nodes under `cap` in `mode`, with a
-        /// ±12 % per-app drift between history and plant.
-        pub fn e22(mode: ControlMode, n_nodes: u32, cap: CapSchedule) -> Self {
-            ReplayConfig {
-                control: ControlPlaneConfig::davide(mode, n_nodes, cap),
-                n_jobs: 160,
-                n_history: 1200,
-                tick_s: 5.0,
-                sample_dt_s: 1.0,
-                workload: WorkloadConfig {
-                    max_nodes: n_nodes.min(8),
-                    mean_interarrival_s: 90.0,
-                    ..WorkloadConfig::default()
-                },
-                model: ModelKind::linreg(),
-                app_drift: [1.12, 0.88, 1.10, 0.90],
-                noise: 0.02,
-                drop: DropModel::None,
-                p_frame_drop: 0.0,
-                seed: 2022,
-            }
-        }
-    }
-
-    /// A job on the plant: ground truth the control plane cannot see.
-    struct PlantJob {
-        nodes: Vec<u32>,
-        /// True mean per-node power at full speed, after drift.
-        node_w: f64,
-        /// Work left, in nominal-speed seconds.
-        remaining_s: f64,
-        id: JobId,
-    }
-
-    /// Observability wiring for an instrumented replay: the shared hub
-    /// whose clock the plant drives from virtual time, plus the
-    /// self-telemetry store the registry is republished into over MQTT
-    /// (`davide/obs/#` → ordinary ingest) during the run.
-    pub struct ReplayObs {
-        /// Registry + tracer + clock shared by every instrument site.
-        pub hub: ObsHub,
-        clock: Arc<ManualClock>,
-        /// The stack's own metrics, round-tripped through the broker
-        /// and the frame codec like any node's power telemetry.
-        pub self_db: TsDb,
-        /// Obs samples the self-telemetry loop ingested.
-        pub self_samples: u64,
-    }
-
-    impl ReplayObs {
-        /// Fresh wiring over a manual clock at t = 0.
-        pub fn new() -> Self {
-            let (hub, clock) = ObsHub::manual();
-            ReplayObs {
-                hub,
-                clock,
-                self_db: TsDb::new(),
-                self_samples: 0,
-            }
-        }
-    }
-
-    impl Default for ReplayObs {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    /// Run one full replay and return the report with ground-truth
-    /// energy accounting filled in.
-    pub fn replay(cfg: &ReplayConfig) -> ControlPlaneReport {
-        replay_instrumented(cfg, None)
-    }
-
-    /// [`replay`] with the self-instrumentation stack armed: broker and
-    /// control-plane instruments register in `obs.hub`, every stamp
-    /// reads the plant's virtual clock (so same seed ⇒ bit-identical
-    /// metrics), and the registry is periodically republished over the
-    /// replay broker and re-ingested into [`ReplayObs::self_db`].
-    pub fn replay_instrumented(
-        cfg: &ReplayConfig,
-        mut obs: Option<&mut ReplayObs>,
-    ) -> ControlPlaneReport {
-        let mut gen = WorkloadGenerator::new(cfg.workload.clone(), cfg.seed);
-        let history = gen.trace(cfg.n_history);
-        let mut trace = gen.trace(cfg.n_jobs);
-        // The trace continues after the history; rebase arrivals to 0.
-        let t_base = trace.first().map(|j| j.submit_s).unwrap_or(0.0);
-        for j in &mut trace {
-            j.submit_s -= t_base;
-        }
-
-        let base = PowerPredictor::from_kind(cfg.model, &history, cfg.workload.users as usize);
-        let predictor = OnlinePowerPredictor::new(base, 0.995, 1000.0);
-
-        let broker = Broker::new(1 << 16);
-        if cfg.p_frame_drop > 0.0 {
-            // Seeded in-transit loss on the gateway → broker hop, so
-            // frames vanish *after* the publish-stage trace stamp.
-            let p = cfg.p_frame_drop;
-            let drop_rng = std::sync::Mutex::new(Rng::seed_from(cfg.seed ^ 0xd1b5_4a32));
-            broker.set_fault_hook(Some(Box::new(move |topic: &str| {
-                if topic.starts_with("davide/node")
-                    && topic.contains("/power/")
-                    && drop_rng.lock().unwrap().chance(p)
-                {
-                    davide_mqtt::PublishFate::Drop
-                } else {
-                    davide_mqtt::PublishFate::Deliver
-                }
-            })));
-        }
-        let mut cp = ControlPlane::new(&broker, cfg.control.clone(), predictor)
-            .expect("subscribe on fresh broker");
-        let mut selfmon = None;
-        let mut obs_ingest = None;
-        if let Some(o) = obs.as_mut() {
-            broker.set_obs(Some(BrokerObs::new(
-                &o.hub,
-                Some(&FRAME_MAGIC.to_le_bytes()),
-            )));
-            cp.set_obs(ControlPlaneObs::new(&o.hub));
-            // Self-telemetry loop: registry → MQTT → ingest, every 12
-            // control periods.
-            selfmon = Some(
-                SelfMonitor::connect(&broker, "obs-selfmon", 12.0 * cfg.tick_s)
-                    .expect("selfmon connect"),
-            );
-            obs_ingest = Some(
-                FrameIngestor::subscribe(&broker, "obs-ingest", &[OBS_FILTER])
-                    .expect("subscribe obs"),
-            );
-        }
-        let mut ctl_watch = broker.connect("plant-gateways");
-        ctl_watch
-            .subscribe("davide/+/ctl/speed", QoS::AtMostOnce)
-            .expect("subscribe ctl");
-        let gateway = broker.connect("plant-publisher");
-
-        let n_nodes = cfg.control.n_nodes;
-        let idle_w = cfg.control.idle_node_power_w;
-        let mut speeds = vec![1.0f64; n_nodes as usize];
-        let mut node_draw_w = vec![idle_w; n_nodes as usize];
-        let mut plant: Vec<PlantJob> = Vec::new();
-        let drift = |job: &Job| cfg.app_drift[job.app as usize];
-        let mut rng = Rng::seed_from(cfg.seed ^ 0x9e37_79b9);
-        let by_id: HashMap<JobId, Job> = trace.iter().map(|j| (j.id, j.clone())).collect();
-
-        let mut next_submit = 0usize;
-        let mut total_energy_j = 0.0;
-        let mut overcap_energy_j = 0.0;
-        let mut overcap_s = 0.0;
-        let mut t = 0.0f64;
-        let samples = (cfg.tick_s / cfg.sample_dt_s).round().max(1.0) as usize;
-
-        loop {
-            // 0. Every obs stamp this iteration reads the plant's
-            //    virtual clock.
-            if let Some(o) = obs.as_mut() {
-                o.clock.set(t);
-            }
-
-            // 1. Gateways publish the window [t − tick, t) they just
-            //    measured, unless their blackout window swallows it.
-            if t > 0.0 {
-                let t0 = t - cfg.tick_s;
-                for node in 0..n_nodes {
-                    if in_blackout(cfg.drop, node, t0) {
-                        continue;
-                    }
-                    let w = node_draw_w[node as usize];
-                    let watts: Vec<f32> = (0..samples)
-                        .map(|_| {
-                            let n = 1.0 + cfg.noise * gauss(&mut rng);
-                            (w * n).max(0.0) as f32
-                        })
-                        .collect();
-                    let frame = SampleFrame {
-                        t0_s: t0,
-                        dt_s: cfg.sample_dt_s,
-                        watts,
-                    };
-                    let _ = gateway.publish(
-                        &power_topic(node, "node"),
-                        frame.encode(),
-                        QoS::AtMostOnce,
-                        false,
-                    );
-                }
-            }
-
-            // 2. Arrivals up to now.
-            while next_submit < trace.len() && trace[next_submit].submit_s <= t {
-                cp.submit(trace[next_submit].clone());
-                next_submit += 1;
-            }
-
-            // 3. Plant-side completions: progress accrued last tick.
-            let mut completions = Vec::new();
-            plant.retain(|pj| {
-                if pj.remaining_s <= 1e-9 {
-                    completions.push((pj.id, t));
-                    for &n in &pj.nodes {
-                        speeds[n as usize] = 1.0;
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-
-            // 4. Control period.
-            let placements = cp.tick(t, &completions);
-            for p in &placements {
-                let job = &by_id[&p.job];
-                plant.push(PlantJob {
-                    nodes: p.nodes.clone(),
-                    node_w: job.true_power_w * drift(job),
-                    remaining_s: job.true_runtime_s,
-                    id: p.job,
-                });
-            }
-
-            // 4b. Pump the stack's own metrics through the broker and
-            //     drain them back like any other telemetry.
-            if let Some(o) = obs.as_mut() {
-                if let Some(mon) = selfmon.as_mut() {
-                    mon.pump(t, &o.hub.registry);
-                }
-                if let Some(ing) = obs_ingest.as_mut() {
-                    o.self_samples += ing.drain_into(&mut o.self_db) as u64;
-                }
-            }
-
-            // 5. Apply DVFS commands the loop just published.
-            for msg in ctl_watch.drain() {
-                if let (Some(node), Ok(speed)) = (
-                    parse_speed_topic(&msg.topic),
-                    std::str::from_utf8(&msg.payload)
-                        .unwrap_or("")
-                        .parse::<f64>(),
-                ) {
-                    if node < n_nodes {
-                        speeds[node as usize] = speed.clamp(0.1, 1.0);
-                    }
-                }
-            }
-
-            if next_submit >= trace.len() && plant.is_empty() && cp.queue_len() == 0 {
-                break;
-            }
-
-            // 6. Advance the plant over [t, t + tick): dynamic draw
-            //    scales with commanded speed, progress too.
-            for w in node_draw_w.iter_mut() {
-                *w = idle_w;
-            }
-            for pj in plant.iter_mut() {
-                let speed = pj
-                    .nodes
-                    .iter()
-                    .map(|&n| speeds[n as usize])
-                    .fold(1.0, f64::min);
-                for &n in &pj.nodes {
-                    node_draw_w[n as usize] = idle_w + speed * (pj.node_w - idle_w).max(0.0);
-                }
-                pj.remaining_s -= cfg.tick_s * speed;
-            }
-            let sys_w: f64 = node_draw_w.iter().sum();
-            total_energy_j += sys_w * cfg.tick_s;
-            if let Some(cap) = cfg.control.cap.cap_at(t) {
-                if sys_w > cap {
-                    overcap_s += cfg.tick_s;
-                    overcap_energy_j += (sys_w - cap) * cfg.tick_s;
-                }
-            }
-
-            t += cfg.tick_s;
-            assert!(
-                t < 120.0 * 86_400.0,
-                "replay failed to converge: queue={} plant={}",
-                cp.queue_len(),
-                plant.len()
-            );
-        }
-
-        if let Some(o) = obs.as_mut() {
-            // Whatever is still resident in the tracer never completed
-            // its causal chain: account it as lost at its last stage.
-            o.hub.frames.flush();
-        }
-        let mut report = cp.report();
-        report.total_energy_j = total_energy_j;
-        report.overcap_energy_j = overcap_energy_j;
-        report.overcap_s = overcap_s;
-        report
-    }
-
-    fn in_blackout(drop: DropModel, node: u32, t: f64) -> bool {
-        match drop {
-            DropModel::None => false,
-            DropModel::Blackout {
-                period_s,
-                blackout_s,
-            } => {
-                let phase = (t + node as f64 * 17.0).rem_euclid(period_s);
-                phase < blackout_s
-            }
-        }
-    }
-
-    fn parse_speed_topic(topic: &str) -> Option<u32> {
-        let mut parts = topic.split('/');
-        if parts.next() != Some("davide") {
-            return None;
-        }
-        let node = parts.next()?.strip_prefix("node")?;
-        if parts.next() != Some("ctl") || parts.next() != Some("speed") || parts.next().is_some() {
-            return None;
-        }
-        node.parse().ok()
-    }
-
-    /// Standard normal via Box–Muller on the plant RNG.
-    fn gauss(rng: &mut Rng) -> f64 {
-        let u1 = rng.uniform().max(1e-12);
-        let u2 = rng.uniform();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::replay::{replay, DropModel, ReplayConfig};
     use super::*;
     use crate::power_predictor::PowerPredictor;
     use crate::workload::{WorkloadConfig, WorkloadGenerator};
@@ -1428,96 +1028,5 @@ mod tests {
         assert_eq!(cp.predictor.updates(), 1, "measured power trains the EP");
         assert_eq!(cp.running_len(), 0);
         assert_eq!(cp.report().jobs_completed, 1);
-    }
-
-    #[test]
-    fn replay_smoke_all_modes_complete_the_trace() {
-        for mode in [
-            ControlMode::OpenLoop,
-            ControlMode::ReactiveOnly,
-            ControlMode::ClosedLoop,
-        ] {
-            let mut cfg = ReplayConfig::e22(mode, 8, CapSchedule::constant(12_000.0));
-            cfg.n_jobs = 25;
-            cfg.n_history = 400;
-            let r = replay(&cfg);
-            assert_eq!(r.jobs_completed, 25, "{mode:?}: {r:?}");
-            assert!(r.total_energy_j > 0.0);
-            assert!(r.online_mape_pct > 0.0);
-        }
-    }
-
-    #[test]
-    fn instrumented_replay_is_bit_identical_and_populates_metrics() {
-        use super::replay::{replay_instrumented, ReplayObs};
-        let mk_cfg = || {
-            let mut cfg =
-                ReplayConfig::e22(ControlMode::ClosedLoop, 8, CapSchedule::constant(9_000.0));
-            cfg.n_jobs = 15;
-            cfg.n_history = 400;
-            cfg
-        };
-        let run = || {
-            let mut obs = ReplayObs::new();
-            let r = replay_instrumented(&mk_cfg(), Some(&mut obs));
-            (r, obs)
-        };
-        let (r1, o1) = run();
-        let (r2, o2) = run();
-        assert_eq!(r1, r2, "same seed ⇒ same report");
-        assert_eq!(
-            o1.hub.registry.render_text(),
-            o2.hub.registry.render_text(),
-            "same seed ⇒ bit-identical metrics exposition"
-        );
-
-        let reg = &o1.hub.registry;
-        let counter = |n: &str| reg.find_counter(n).unwrap().get();
-        assert!(counter("ctl_ticks_total") > 0);
-        assert!(counter("ctl_frames_total") > 0);
-        assert!(
-            counter("obs_trace_completed_total") > 0,
-            "frames complete the causal chain"
-        );
-        let e2e = reg.find_histogram("obs_trace_e2e_ns").unwrap().snapshot();
-        assert!(e2e.count > 0, "control-loop latency is measured");
-        assert!(
-            reg.find_histogram("ctl_predictor_abs_err_w")
-                .unwrap()
-                .snapshot()
-                .count
-                > 0,
-            "completions feed the predictor-error distribution"
-        );
-
-        // The self-telemetry loop round-tripped the registry through
-        // the broker into a TsDb, like any node's power.
-        assert!(o1.self_samples > 0);
-        assert!(o1
-            .self_db
-            .lookup(&davide_obs::obs_topic("ctl_ticks_total"))
-            .is_some());
-
-        // Instrumentation must not change a single control decision.
-        let plain = replay(&mk_cfg());
-        assert_eq!(plain, r1, "instrumented and plain replays agree");
-    }
-
-    #[test]
-    fn replay_blackout_accrues_stale_seconds_but_still_completes() {
-        let mut cfg =
-            ReplayConfig::e22(ControlMode::ClosedLoop, 8, CapSchedule::constant(12_000.0));
-        cfg.n_jobs = 20;
-        cfg.n_history = 400;
-        cfg.drop = DropModel::Blackout {
-            period_s: 300.0,
-            blackout_s: 120.0,
-        };
-        let r = replay(&cfg);
-        assert_eq!(r.jobs_completed, 20);
-        assert!(
-            r.stale_node_s > 0.0,
-            "blackouts must surface as stale node-seconds: {r:?}"
-        );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Each rack is a complete single-rack stack — its own broker, gateway
 //! fleet, control plane, fault script and invariant checker (a
-//! [`RackSim`]) — and a *federator* stitches them into one site:
+//! `RackSim`) — and a *federator* stitches them into one site:
 //!
 //! * per-rack **uplink** bridges ([`davide_mqtt::Bridge`]) forward
 //!   `davide/+/power/node` frames onto the site broker under a

@@ -33,10 +33,12 @@
 //!   `any()` per tick, skew offsets accumulate once per tick). Frame
 //!   delays, arrivals and the control period itself are genuine events.
 //!
-//! A rack is one [`RackSim`]; multi-rack federation (N racks bridged
+//! A rack is one `RackSim`; multi-rack federation (N racks bridged
 //! into a site broker with a global power budget) lives in
 //! [`crate::federation`] and drives the same per-rack state machine
-//! through the same kernel.
+//! through the same kernel. This is the workspace's only plant loop:
+//! E22 and E24 run the control plane's modes on it too, through
+//! [`crate::scenario::e22`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -224,8 +226,7 @@ fn window_active(from_s: f64, until_s: f64, t: f64) -> bool {
     from_s <= t && t < until_s
 }
 
-/// Standard normal via Box–Muller on the plant RNG (same recipe as the
-/// E22 replay plant, so plants are comparable across harnesses).
+/// Standard normal via Box–Muller on the plant RNG.
 fn gauss(rng: &mut Rng) -> f64 {
     let u1 = rng.uniform().max(1e-12);
     let u2 = rng.uniform();
@@ -337,9 +338,10 @@ impl RackSim {
         let n = sc.n_nodes as usize;
         let tick = sc.tick_s;
 
-        // ── Trace and predictor, exactly as the E22 replay builds them. ──
+        // ── Trace (history first, then the run, rebased to t = 0) and
+        //    the online predictor over a batch model of the history. ──
         let workload = WorkloadConfig {
-            users: 12,
+            users: sc.users,
             mean_interarrival_s: sc.mean_interarrival_s,
             max_nodes: sc.max_job_nodes.min(sc.n_nodes),
             mean_walltime_s: sc.mean_walltime_s,
@@ -1377,6 +1379,16 @@ mod tests {
         assert!(
             counter("obs_trace_lost_total{last=\"broker_publish\"}") > 0,
             "frame loss surfaces as per-stage trace loss"
+        );
+        assert!(
+            a.obs
+                .registry
+                .find_histogram("ctl_predictor_abs_err_w")
+                .unwrap()
+                .snapshot()
+                .count
+                > 0,
+            "completions feed the predictor-error distribution"
         );
     }
 }

@@ -423,11 +423,12 @@ impl InvariantChecker {
                     ),
                 );
             }
-            // Mean compare only below ring capacity, where no raw
-            // samples can have been evicted.
-            if model.count(i) > 0 && model.count(i) < 90_000 {
-                let db_mean = cp.db().mean_id(id, Resolution::Raw, -1e18, 1e18);
-                let want = model.mean(i).expect("count > 0");
+            // The mean compare needs every accepted sample: skip it once
+            // the store's retention has evicted part of the series.
+            let (db_mean, coverage) =
+                cp.db()
+                    .mean_id_with_coverage(id, Resolution::Raw, -1e18, 1e18);
+            if let (Some(want), false) = (model.mean(i), coverage.evicted) {
                 match db_mean {
                     Some(m) if (m - want).abs() <= 1e-9 * want.abs().max(1.0) => {}
                     other => self.flag(
@@ -440,7 +441,9 @@ impl InvariantChecker {
         }
 
         // INV-ENERGY (c): fault-free completed jobs — telemetry energy
-        // matches plant truth within measurement noise.
+        // matches plant truth within measurement noise. A job whose raw
+        // window the store's retention evicted (even in part) can no
+        // longer be measured and is skipped.
         for j in truth.jobs.iter().filter(|j| j.clean && !j.aborted) {
             let dur = j.end_s - j.start_s;
             if dur <= 0.0 {
@@ -448,15 +451,26 @@ impl InvariantChecker {
             }
             let mut measured = 0.0;
             let mut missing = false;
+            let mut evicted = false;
             for &n in &j.nodes {
-                let mean = cp.db().lookup(&power_topic(n, "node")).and_then(|id| {
-                    cp.db()
-                        .mean_id(id, Resolution::Raw, j.start_s - 0.5, j.end_s - 0.5)
-                });
+                let Some(id) = cp.db().lookup(&power_topic(n, "node")) else {
+                    missing = true;
+                    continue;
+                };
+                let (mean, coverage) = cp.db().mean_id_with_coverage(
+                    id,
+                    Resolution::Raw,
+                    j.start_s - 0.5,
+                    j.end_s - 0.5,
+                );
+                evicted |= coverage.evicted;
                 match mean {
                     Some(m) => measured += m * dur,
                     None => missing = true,
                 }
+            }
+            if evicted {
+                continue;
             }
             if missing {
                 self.flag(

@@ -14,7 +14,8 @@
 //! * [`scenario`] — the fault-script DSL: per-gateway sample loss and
 //!   dropout windows, duplicated/reordered frames, PTP clock skew and
 //!   step, broker restart with retained-message replay, node death
-//!   mid-job; plus the canned scenario set CI smokes.
+//!   mid-job; plus the canned scenario set CI smokes and the E22
+//!   control-loop workload (`scenario::e22`).
 //! * [`log`] — the structured event log and its FNV-64 digest, the
 //!   artifact two runs of one seed must reproduce bit for bit.
 //! * [`invariants`] — the checker layer: envelope compliance within the

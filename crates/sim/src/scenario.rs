@@ -137,6 +137,9 @@ pub struct Scenario {
     pub mean_interarrival_s: f64,
     /// Largest node count a job may request.
     pub max_job_nodes: u32,
+    /// Distinct users in the trace; the batch predictor keys its
+    /// per-user features on them.
+    pub users: u32,
     /// Per-app plant drift the batch predictor has not seen.
     pub app_drift: [f64; 4],
     /// The fault script.
@@ -177,6 +180,7 @@ impl Scenario {
             mean_walltime_s: 1_500.0,
             mean_interarrival_s: 120.0,
             max_job_nodes: 2,
+            users: 12,
             app_drift: [1.05, 0.95, 1.08, 0.92],
             faults: Vec::new(),
             deadline_s: 30.0,
@@ -184,23 +188,6 @@ impl Scenario {
             disable_stale_fallback: false,
             broker_shards: None,
         }
-    }
-
-    /// Largest fault-window end in the script, seconds (0 when clean).
-    pub fn last_fault_end_s(&self) -> f64 {
-        self.faults
-            .iter()
-            .map(|f| match *f {
-                Fault::FrameLoss { until_s, .. }
-                | Fault::Dropout { until_s, .. }
-                | Fault::Duplicate { until_s, .. }
-                | Fault::Reorder { until_s, .. }
-                | Fault::ClockSkew { until_s, .. }
-                | Fault::BrokerRestart { until_s, .. } => until_s,
-                Fault::ClockStep { at_s, .. } => at_s,
-                Fault::NodeDeath { revive_s, .. } => revive_s,
-            })
-            .fold(0.0, f64::max)
     }
 }
 
@@ -302,6 +289,27 @@ pub fn canned(seed: u64) -> Vec<Scenario> {
     set.push(s);
 
     set
+}
+
+/// The E22 closed-loop workload: 16 nodes under a 22 kW cap (≈ 70 % of
+/// the all-nodes-hot draw), 3 h mean walltime, 90 s mean interarrival,
+/// jobs of up to 8 nodes from 24 users, and a ±12 % per-app plant drift
+/// between the training history and the run. No faults. The full run
+/// is 160 jobs over 1200 history; `--smoke` and the E22 pins use 50
+/// over 400.
+pub fn e22(mode: ControlMode, n_jobs: usize, n_history: usize) -> Scenario {
+    let mut s = Scenario::base("e22", 2022);
+    s.mode = mode;
+    s.n_nodes = 16;
+    s.cap_w = 22_000.0;
+    s.n_jobs = n_jobs;
+    s.n_history = n_history;
+    s.mean_walltime_s = 10_800.0;
+    s.mean_interarrival_s = 90.0;
+    s.max_job_nodes = 8;
+    s.users = 24;
+    s.app_drift = [1.12, 0.88, 1.10, 0.90];
+    s
 }
 
 /// The self-observability probe: a reorder-heavy script so the

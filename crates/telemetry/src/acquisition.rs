@@ -8,7 +8,7 @@
 //! samples per second** flowing acquisition → decimation → MQTT →
 //! ingest. This module drives that path end to end:
 //!
-//! * each gateway is a [`GatewayShard`]: per-gateway deterministic RNG
+//! * each gateway is a `GatewayShard`: per-gateway deterministic RNG
 //!   stream (forked from the config seed in node order), a per-channel
 //!   periodic waveform template, a µs-scale PTP-residual clock offset,
 //!   and reusable scratch buffers so the steady state performs **zero

@@ -1,12 +1,12 @@
 //! Behaviour pins for two time loops: E11's scheduling simulator (the
 //! five policies under a 60 kW envelope, 400 jobs) and E22's closed
-//! power-control loop (all three modes at smoke size: 50 jobs, 400
-//! history). Each run's `{:?}` text is digested with FNV-1a and checked
-//! against a constant, so a refactor that changes any outcome bit shows
-//! up here; each test also reruns in-process and demands identical text.
+//! power-control loop on the sim harness (all three modes at smoke
+//! size: 50 jobs, 400 history). Each run's `{:?}` text is digested with
+//! FNV-1a and checked against a constant, so a refactor that changes
+//! any outcome bit shows up here; each test also reruns in-process and
+//! demands identical text.
 
 use davide::predictor::ModelKind;
-use davide::sched::controlplane::{replay, ReplayConfig};
 use davide::sched::{
     simulate, CapSchedule, ControlMode, EasyBackfill, Fcfs, JobId, Policy, PowerPredictor,
     SimConfig, SimOutcome, WorkloadConfig, WorkloadGenerator,
@@ -66,12 +66,10 @@ fn e11_texts() -> Vec<String> {
         .collect()
 }
 
-/// One E22 mode at `--smoke` size.
+/// One E22 mode at `--smoke` size: the loop's end-of-run report.
 fn e22_text(mode: ControlMode) -> String {
-    let mut cfg = ReplayConfig::e22(mode, 16, CapSchedule::constant(22_000.0));
-    cfg.n_jobs = 50;
-    cfg.n_history = 400;
-    format!("{:?}", replay(&cfg))
+    let sc = davide_sim::scenario::e22(mode, 50, 400);
+    format!("{:?}", davide_sim::run(&sc).report)
 }
 
 fn check(texts: &[String], rerun: &[String], pinned: &[u64]) {
@@ -95,7 +93,7 @@ fn e11_policy_outcomes_are_pinned() {
     );
 }
 
-// One test per E22 mode, so the three replays run in parallel.
+// One test per E22 mode, so the three runs proceed in parallel.
 #[test]
 fn e22_open_loop_is_pinned() {
     let mode = ControlMode::OpenLoop;

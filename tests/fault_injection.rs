@@ -64,6 +64,33 @@ fn tiering_leaves_every_canned_digest_unchanged() {
 }
 
 #[test]
+fn store_retention_is_not_mistaken_for_lost_energy() {
+    // A 300-point raw ring evicts most of every node's series over the
+    // run. INV-ENERGY must skip what retention dropped rather than flag
+    // it as missing or mismatched telemetry.
+    let sc = Scenario::base("ring", 11);
+    let out = run_with_db_config(
+        &sc,
+        TsDbConfig {
+            raw_capacity: 300,
+            ..Default::default()
+        },
+    );
+    let stored = out
+        .obs
+        .registry
+        .find_counter("ctl_samples_stored_total")
+        .map(|c| c.get())
+        .unwrap_or(0);
+    assert!(
+        stored > 300 * sc.n_nodes as u64,
+        "the ring must actually evict: {stored} samples stored"
+    );
+    assert!(out.violations.is_empty(), "{:?}", out.violations);
+    assert_eq!(out.report.jobs_completed as usize, sc.n_jobs);
+}
+
+#[test]
 fn broker_shard_count_leaves_every_canned_digest_unchanged() {
     // The sharding determinism contract: every subscription that can
     // match a topic lives on that topic's shard, trie traversal order
